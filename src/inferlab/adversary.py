@@ -22,30 +22,13 @@ import threading
 from dataclasses import dataclass, field
 
 from .catalog import language
-from .evidence import (
-    DataSet,
-    Informant,
-    canonical_informant,
-    content,
-    format_sequence,
-    outline,
-    pos,
-    prefix,
-)
+from .evidence import (DataSet, Informant, canonical_informant, content,
+                       format_sequence, outline, pos, prefix)
 from .hypothesis import Hypothesis
-from .interaction import KINDS, EvalContext, Learner, run
+from .interaction import EvalContext, HypSequence, Learner, run
 from .restrictions import Verdict, check, revalidate
-from .upset import (
-    NATURALS,
-    UPSet,
-    bounded_elements,
-    complement,
-    difference,
-    from_elements,
-    min_element,
-    parse,
-    union,
-)
+from .upset import (NATURALS, UPSet, complement, difference, from_elements,
+                    min_element, parse, union)
 
 __all__ = [
     "ADVERSARY_IDS",
@@ -55,31 +38,13 @@ __all__ = [
     "OpponentError",
     "SubprocessOpponent",
     "Witness",
-    "caut_adversary",
-    "cautfin_adversary",
     "mindchange_driver",
-    "monotonicity_adversary",
     "run_adversary",
     "verify_witness",
 ]
 
-WITNESS_KINDS = (
-    "restriction-violation",
-    "mindchange-transcript",
-    "split-pair",
-    "exhausted",
-)
-
-ADVERSARY_IDS = (
-    "caut_tar",
-    "caut_inf",
-    "caut_fin",
-    "smon_vs_dual",
-    "dual_vs_smon",
-    "mon_vs_dual",
-    "dual_vs_mon",
-    "mindchange",
-)
+WITNESS_KINDS = ("restriction-violation", "mindchange-transcript",
+                 "split-pair", "exhausted")
 
 
 @dataclass(frozen=True)
@@ -129,207 +94,144 @@ class Witness:
             raise ValueError(f"unknown witness kind {self.kind!r}")
 
 
-def _find_extension(seq, target: UPSet, start: int = 0) -> int | None:
-    for i in range(start, len(seq)):
-        if seq[i].extension == target:
-            return i
-    return None
+class _Stop(Exception):
+    """Ends a staged game early; args[0] is the exhausted witness."""
 
 
-def _exhausted(adversary, opponent, bounds, note, **extra) -> Witness:
-    return Witness(
-        "exhausted", adversary, opponent.name, bounds, note=note,
-        opponent_ref=opponent, **extra,
-    )
+@dataclass
+class _Game:
+    """The staged-game script: play a target, wait for a commitment,
+    switch the target, check the replay, find the site.
+
+    Each step either returns what the game needs next or raises `_Stop`
+    with an exhausted witness, so a game reads as straight-line code.
+    """
+
+    adversary: str
+    opponent: Learner
+    bounds: Bounds
+    ctx: EvalContext | None
+    commitments: list[tuple[int, UPSet]] = field(default_factory=list)
+    params: list[tuple[str, int]] = field(default_factory=list)
+    informant: Informant | None = None
+    horizon: int = 0
+    seq: HypSequence | None = None
+
+    def _witness(self, kind: str, note: str, **extra) -> Witness:
+        return Witness(kind, self.adversary, self.opponent.name, self.bounds,
+                       note=note, opponent_ref=self.opponent, **extra)
+
+    def exhaust(self, note: str, verdict: Verdict | None = None):
+        """Give up on the current run, keeping its informant and params."""
+        raise _Stop(self._witness(
+            "exhausted", note, informant=self.informant, horizon=self.horizon,
+            verdict=verdict, params=tuple(self.params)))
+
+    def param(self, name: str, value: int) -> int:
+        self.params.append((name, value))
+        return value
+
+    def play(self, target: UPSet, horizon: int):
+        """Run the opponent on the target; every commitment must replay."""
+        self.informant = canonical_informant(target)
+        self.horizon = horizon
+        self.seq = run(self.opponent, self.informant, horizon, self.ctx)
+        if any(self.seq[i].extension != ext for i, ext in self.commitments):
+            at = "at" if len(self.commitments) == 1 else "before"
+            raise _Stop(self._witness("exhausted", "stage replay diverged"
+                                      f" {at} index {self.commitments[-1][0]}"))
+
+    def _index(self, pred, start: int) -> int | None:
+        return next((i for i in range(start, len(self.seq))
+                     if pred(self.seq[i].extension)), None)
+
+    def first(self, pred, note: str, start: int = 0) -> int:
+        """Least index from `start` whose extension satisfies `pred`."""
+        i = self._index(pred, start)
+        if i is None:
+            self.exhaust(f"{note}: {check('bc', self.seq).detail}")
+        return i
+
+    def commit(self, name: str, target: UPSet, note: str, start: int = 0) -> int:
+        """`first` conjecture of `target`, which later plays must replay."""
+        i = self._index(lambda ext: ext == target, start)
+        if i is None:
+            self.exhaust(note, check("bc", self.seq))
+        self.commitments.append((i, target))
+        return self.param(name, i)
+
+    def found(self, verdict: Verdict, note: str) -> Witness:
+        # a constructed site that does not re-verify is a driver bug
+        if not revalidate(verdict, self.seq):
+            self.exhaust("constructed violation site failed revalidation")
+        return self._witness(
+            "restriction-violation", note, informant=self.informant,
+            horizon=self.horizon, verdict=verdict, params=tuple(self.params))
 
 
-def _stage1_naturals(adversary, opponent, bounds, ctx):
+def _commit_to_naturals(g: _Game) -> int:
     """Common opening: wait for the opponent to conjecture the naturals."""
-    informant = canonical_informant(NATURALS)
-    seq = run(opponent, informant, bounds.n_search, ctx)
-    n0 = _find_extension(seq, NATURALS)
-    if n0 is None:
-        evidence = check("bc", seq)
-        return None, _exhausted(
-            adversary, opponent, bounds,
-            f"opponent never conjectured the naturals within {bounds.n_search}"
-            " steps, so there is nothing to descend from; it also fails bc"
-            " on the naturals at this horizon",
-            informant=informant, horizon=bounds.n_search, verdict=evidence,
-        )
-    return n0, None
+    g.play(NATURALS, g.bounds.n_search)
+    return g.commit("n0", NATURALS, "opponent never conjectured the naturals"
+                    f" within {g.bounds.n_search} steps, so there is nothing to"
+                    " descend from; it also fails bc on the naturals at this"
+                    " horizon")
 
 
-def caut_adversary(
-    variant: str,
-    opponent: Learner,
-    bounds: Bounds = DEFAULT_BOUNDS,
-    ctx: EvalContext | None = None,
-) -> Witness:
-    """Force a descent from the naturals onto a cofinite target.
-
-    After the opponent commits to the naturals at some index n0, the
-    target is shrunk to exclude n0+1.  An opponent that goes on to learn
-    the smaller set must land on a proper subset of an earlier guess.
-    """
-    if variant not in ("caut", "caut_tar", "caut_inf"):
-        raise ValueError(f"caut adversary cannot target {variant!r}")
-    n0, out = _stage1_naturals(variant, opponent, bounds, ctx)
-    if out is not None:
-        return out
-    target = complement(from_elements({n0 + 1}))
-    informant = canonical_informant(target)
-    horizon = n0 + 2 + bounds.t_bound
-    seq = run(opponent, informant, horizon, ctx)
-    if seq[n0].extension != NATURALS:
-        return _exhausted(variant, opponent, bounds,
-                          f"stage replay diverged at index {n0}")
-    verdict = check(variant, seq)
+def _caut(g: _Game) -> Witness:
+    """After a commitment to the naturals at n0, drop n0+1 from the target:
+    learning it means landing on a proper subset of an earlier guess."""
+    n0 = _commit_to_naturals(g)
+    g.play(complement(from_elements({n0 + 1})), n0 + 2 + g.bounds.t_bound)
+    verdict = check(g.adversary, g.seq)
     if verdict.satisfied:
-        return _exhausted(
-            variant, opponent, bounds,
-            f"no {variant} violation up to horizon {horizon};"
-            f" bc on the shrunk target: {check('bc', seq).detail}",
-            informant=informant, horizon=horizon,
-            params=(("n0", n0),),
-        )
-    return Witness(
-        "restriction-violation", variant, opponent.name, bounds,
-        note=f"committed to the naturals at {n0}, then dropped {n0 + 1}",
-        informant=informant, horizon=horizon, verdict=verdict,
-        params=(("n0", n0),), opponent_ref=opponent,
-    )
+        g.exhaust(f"no {g.adversary} violation up to horizon {g.horizon};"
+                  f" bc on the shrunk target: {check('bc', g.seq).detail}")
+    return g.found(verdict, f"committed to the naturals at {n0},"
+                            f" then dropped {n0 + 1}")
 
 
-def cautfin_adversary(
-    opponent: Learner,
-    bounds: Bounds = DEFAULT_BOUNDS,
-    ctx: EvalContext | None = None,
-) -> Witness:
-    """Descent variant that lands on a finite target.
-
-    The second target is exactly the positive data shown before the
-    opponent conjectured the naturals, so any later correct conjecture
-    is a finite proper subset of that earlier guess.
-    """
-    n0, out = _stage1_naturals("caut_fin", opponent, bounds, ctx)
-    if out is not None:
-        return out
-    target = from_elements(range(n0))
-    informant = canonical_informant(target)
-    horizon = n0 + 2 + bounds.t_bound
-    seq = run(opponent, informant, horizon, ctx)
-    if seq[n0].extension != NATURALS:
-        return _exhausted("caut_fin", opponent, bounds,
-                          f"stage replay diverged at index {n0}")
-    verdict = check("caut_fin", seq)
+def _caut_fin(g: _Game) -> Witness:
+    """After a commitment to the naturals at n0, the target becomes the
+    positive data shown so far: a finite proper subset of that guess."""
+    n0 = _commit_to_naturals(g)
+    g.play(from_elements(range(n0)), n0 + 2 + g.bounds.t_bound)
+    verdict = check("caut_fin", g.seq)
     if verdict.satisfied:
-        return _exhausted(
-            "caut_fin", opponent, bounds,
-            f"no finite descent up to horizon {horizon};"
-            f" bc on the finite target: {check('bc', seq).detail}",
-            informant=informant, horizon=horizon, params=(("n0", n0),),
-        )
-    return Witness(
-        "restriction-violation", "caut_fin", opponent.name, bounds,
-        note=f"conjectured the naturals at {n0}, target returns to the"
-             " positive data shown so far",
-        informant=informant, horizon=horizon, verdict=verdict,
-        params=(("n0", n0),), opponent_ref=opponent,
-    )
+        g.exhaust(f"no finite descent up to horizon {g.horizon};"
+                  f" bc on the finite target: {check('bc', g.seq).detail}")
+    return g.found(verdict, f"conjectured the naturals at {n0}, target"
+                            " returns to the positive data shown so far")
 
 
-def _checked_witness(adversary, opponent, bounds, informant, horizon,
-                     seq, verdict, note, params) -> Witness:
-    # a constructed site that does not re-verify is a driver bug; report
-    # exhausted rather than hand out a bogus witness
-    if not revalidate(verdict, seq):
-        return _exhausted(adversary, opponent, bounds,
-                          "constructed violation site failed revalidation",
-                          informant=informant, horizon=horizon, params=params)
-    return Witness(
-        "restriction-violation", adversary, opponent.name, bounds, note=note,
-        informant=informant, horizon=horizon, verdict=verdict, params=params,
-        opponent_ref=opponent,
-    )
+def _smon_vs_dual(g: _Game) -> Witness:
+    """Commit to {0}, then grow the target by an element never shown."""
+    base = from_elements({0})
+    g.play(base, g.bounds.n_search)
+    n0 = g.commit("n0", base, f"opponent never conjectured {base} within"
+                              f" {g.bounds.n_search} steps; no commitment"
+                              " to grow past")
+    x = g.param("x", max(outline(prefix(g.informant, n0)) | {0}) + 1)
+    g.play(union(base, from_elements({x})), x + 1 + g.bounds.t_bound)
+    t = g.first(lambda ext: ext.member(x), "opponent never admitted the fresh"
+                f" element {x}; bc on the grown target", n0 + 1)
+    verdict = Verdict("smon_d", False, (n0, t), x, f"conjecture at {t}"
+                      f" gained {x} over the conjecture at {n0}")
+    return g.found(verdict, f"committed to {base} at {n0}, grew by the"
+                            f" unseen {x} at {t}")
 
 
-def _smon_vs_dual(opponent, bounds, stage1, ctx) -> Witness:
-    base = from_elements({0}) if stage1 is None else stage1
-    if not base.is_finite():
-        raise ValueError("stage-1 target must be finite")
-    informant1 = canonical_informant(base)
-    seq1 = run(opponent, informant1, bounds.n_search, ctx)
-    n0 = _find_extension(seq1, base)
-    if n0 is None:
-        return _exhausted(
-            "smon_vs_dual", opponent, bounds,
-            f"opponent never conjectured {base} within {bounds.n_search}"
-            " steps; no commitment to grow past",
-            informant=informant1, horizon=bounds.n_search,
-            verdict=check("bc", seq1),
-        )
-    shown = set(outline(prefix(informant1, n0)))
-    shown |= set(bounded_elements(base, len(base.prefix)))
-    x = max(shown, default=-1) + 1
-    grown = union(base, from_elements({x}))
-    informant = canonical_informant(grown)
-    horizon = x + 1 + bounds.t_bound
-    seq = run(opponent, informant, horizon, ctx)
-    if seq[n0].extension != base:
-        return _exhausted("smon_vs_dual", opponent, bounds,
-                          f"stage replay diverged at index {n0}")
-    t = next((i for i in range(n0 + 1, horizon + 1)
-              if seq[i].extension.member(x)), None)
-    if t is None:
-        return _exhausted(
-            "smon_vs_dual", opponent, bounds,
-            f"opponent never admitted the fresh element {x};"
-            f" bc on the grown target: {check('bc', seq).detail}",
-            informant=informant, horizon=horizon,
-            params=(("n0", n0), ("x", x)),
-        )
-    verdict = Verdict(
-        "smon_d", False, (n0, t), x,
-        f"conjecture at {t} gained {x} over the conjecture at {n0}",
-    )
-    return _checked_witness(
-        "smon_vs_dual", opponent, bounds, informant, horizon, seq, verdict,
-        f"committed to {base} at {n0}, grew by the unseen {x} at {t}",
-        (("n0", n0), ("x", x)),
-    )
-
-
-def _dual_vs_smon(opponent, bounds, ctx) -> Witness:
-    n0, out = _stage1_naturals("dual_vs_smon", opponent, bounds, ctx)
-    if out is not None:
-        return out
-    target = language("segment", n=n0 + 1)
-    informant = canonical_informant(target)
-    horizon = n0 + 3 + bounds.t_bound
-    seq = run(opponent, informant, horizon, ctx)
-    if seq[n0].extension != NATURALS:
-        return _exhausted("dual_vs_smon", opponent, bounds,
-                          f"stage replay diverged at index {n0}")
-    t = next((i for i in range(n0 + 1, horizon + 1)
-              if seq[i].extension != NATURALS), None)
-    if t is None:
-        return _exhausted(
-            "dual_vs_smon", opponent, bounds,
-            "opponent clung to the naturals on a segment target;"
-            f" bc there: {check('bc', seq).detail}",
-            informant=informant, horizon=horizon, params=(("n0", n0),),
-        )
-    element = min_element(difference(NATURALS, seq[t].extension))
-    verdict = Verdict(
-        "smon", False, (n0, t), element,
-        f"conjecture at {t} lost {element} against the naturals at {n0}",
-    )
-    return _checked_witness(
-        "dual_vs_smon", opponent, bounds, informant, horizon, seq, verdict,
-        f"guessed the naturals at {n0}, then had to shrink onto the segment",
-        (("n0", n0),),
-    )
+def _dual_vs_smon(g: _Game) -> Witness:
+    """Commit to the naturals, then shrink the target onto a segment."""
+    n0 = _commit_to_naturals(g)
+    g.play(language("segment", n=n0 + 1), n0 + 3 + g.bounds.t_bound)
+    t = g.first(lambda ext: ext != NATURALS, "opponent clung to the naturals"
+                " on a segment target; bc there", n0 + 1)
+    element = min_element(difference(NATURALS, g.seq[t].extension))
+    verdict = Verdict("smon", False, (n0, t), element, f"conjecture at {t}"
+                      f" lost {element} against the naturals at {n0}")
+    return g.found(verdict, f"guessed the naturals at {n0}, then had to"
+                            " shrink onto the segment")
 
 
 _THREE_STAGE = {
@@ -339,58 +241,30 @@ _THREE_STAGE = {
 }
 
 
-def _three_stage(kind, opponent, bounds, ctx) -> Witness:
-    xid, yid, zid, row, rid = _THREE_STAGE[kind]
+def _three_stage(g: _Game) -> Witness:
+    """Walk the opponent through the X/Y/Z tiers of its home family."""
+    xid, yid, zid, row, rid = _THREE_STAGE[g.adversary]
+
+    def rows_shown(n: int) -> int:
+        return max((v // row for v in outline(prefix(g.informant, n))),
+                   default=-1) + 1
+
     base = language(xid)
-    informant1 = canonical_informant(base)
-    seq1 = run(opponent, informant1, bounds.n_search, ctx)
-    n_x = _find_extension(seq1, base)
-    if n_x is None:
-        return _exhausted(
-            kind, opponent, bounds,
-            f"opponent never conjectured the base tier within"
-            f" {bounds.n_search} steps",
-            informant=informant1, horizon=bounds.n_search,
-            verdict=check("bc", seq1),
-        )
-    n = max((v // row for v in outline(prefix(informant1, n_x))), default=-1) + 1
+    g.play(base, g.bounds.n_search)
+    n_x = g.commit("n_x", base, "opponent never conjectured the base tier"
+                                f" within {g.bounds.n_search} steps")
+    n = g.param("n", rows_shown(n_x))
     mid = language(yid, n=n)
-    informant2 = canonical_informant(mid)
-    horizon2 = n_x + bounds.n_search
-    seq2 = run(opponent, informant2, horizon2, ctx)
-    if seq2[n_x].extension != base:
-        return _exhausted(kind, opponent, bounds,
-                          f"stage replay diverged at index {n_x}")
-    n_y = _find_extension(seq2, mid, start=n_x + 1)
-    if n_y is None:
-        return _exhausted(
-            kind, opponent, bounds,
-            f"opponent never conjectured the middle tier (n={n}) within"
-            f" {horizon2} steps",
-            informant=informant2, horizon=horizon2,
-            verdict=check("bc", seq2), params=(("n_x", n_x), ("n", n)),
-        )
-    m = max(n + 1,
-            max((v // row for v in outline(prefix(informant2, n_y))),
-                default=-1) + 1)
+    g.play(mid, n_x + g.bounds.n_search)
+    n_y = g.commit("n_y", mid, "opponent never conjectured the middle tier"
+                               f" (n={n}) within {g.horizon} steps", n_x + 1)
+    m = g.param("m", max(n + 1, rows_shown(n_y)))
     top = language(zid, n=n, m=m)
-    informant = canonical_informant(top)
-    horizon = n_y + bounds.n_search
-    seq = run(opponent, informant, horizon, ctx)
-    if seq[n_x].extension != base or seq[n_y].extension != mid:
-        return _exhausted(kind, opponent, bounds,
-                          f"stage replay diverged before index {n_y}")
-    n_z = _find_extension(seq, top, start=n_y + 1)
-    if n_z is None:
-        return _exhausted(
-            kind, opponent, bounds,
-            f"opponent never conjectured the third tier (n={n}, m={m})"
-            f" within {horizon} steps",
-            informant=informant, horizon=horizon,
-            verdict=check("bc", seq),
-            params=(("n_x", n_x), ("n", n), ("n_y", n_y), ("m", m)),
-        )
-    if kind == "mon_vs_dual":
+    g.play(top, n_y + g.bounds.n_search)
+    n_z = g.commit("n_z", top, "opponent never conjectured the third tier"
+                               f" (n={n}, m={m}) within {g.horizon} steps",
+                   n_y + 1)
+    if g.adversary == "mon_vs_dual":
         element = 3 * m + 4  # the b past the cut: in Y_n, in neither X nor Z
         detail = (f"conjecture at {n_y} includes {element}, which the target"
                   f" and the conjecture at {n_x} both exclude")
@@ -398,36 +272,9 @@ def _three_stage(kind, opponent, bounds, ctx) -> Witness:
         element = 2 * m  # in X and in Z, but dropped by Y_n
         detail = (f"conjecture at {n_y} drops the target element {element}"
                   f" that the conjecture at {n_x} still carried")
-    verdict = Verdict(rid, False, (n_x, n_y), element, detail)
-    return _checked_witness(
-        kind, opponent, bounds, informant, horizon, seq, verdict,
-        f"walked the opponent through all three tiers (n={n}, m={m},"
-        f" settling at {n_z})",
-        (("n_x", n_x), ("n", n), ("n_y", n_y), ("m", m), ("n_z", n_z)),
-    )
-
-
-def monotonicity_adversary(
-    kind: str,
-    opponent: Learner,
-    bounds: Bounds = DEFAULT_BOUNDS,
-    stage1: UPSet | None = None,
-    ctx: EvalContext | None = None,
-) -> Witness:
-    """Stage a family walk that breaks the named monotonicity variant.
-
-    Two-stage games (smon_vs_dual, dual_vs_smon) grow or shrink the
-    target once; three-stage games (mon_vs_dual, dual_vs_mon) walk the
-    opponent through the X/Y/Z tiers of its home family. `stage1`
-    overrides the opening target where the game allows it.
-    """
-    if kind == "smon_vs_dual":
-        return _smon_vs_dual(opponent, bounds, stage1, ctx)
-    if kind == "dual_vs_smon":
-        return _dual_vs_smon(opponent, bounds, ctx)
-    if kind in _THREE_STAGE:
-        return _three_stage(kind, opponent, bounds, ctx)
-    raise ValueError(f"unknown monotonicity game {kind!r}")
+    return g.found(Verdict(rid, False, (n_x, n_y), element, detail),
+                   f"walked the opponent through all three tiers (n={n},"
+                   f" m={m}, settling at {n_z})")
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +284,18 @@ def _succ(d: DataSet, p: int, t: int) -> DataSet:
     """Content of the canonical informant for pos(d) + {p}, length p + t."""
     target = from_elements(pos(d) | {p})
     return content(prefix(canonical_informant(target), p + t))
+
+
+def _label_flip(opponent: Learner, d: DataSet, label: int, t_bound: int, ctx):
+    """First (b, t, probe, new label, grown data) that changes `label`."""
+    top = max(outline(d), default=-1)
+    for b in (0, 1):
+        for t in range(t_bound + 1):
+            cand = _succ(d, top + 1 + b, t)
+            after = opponent.fn(cand, ctx).label
+            if after != label:
+                return b, t, top + 1 + b, after, cand
+    return None
 
 
 def mindchange_driver(
@@ -460,21 +319,11 @@ def mindchange_driver(
     d = DataSet(frozenset())
     transcript: list[MindchangeRound] = []
     for k in range(max_rounds):
-        base = opponent.fn(d, ctx)
-        top = max(outline(d), default=-1)
-        found = None
-        for b in (0, 1):
-            p = top + 1 + b
-            for t in range(t_bound + 1):
-                cand = _succ(d, p, t)
-                answer = opponent.fn(cand, ctx)
-                if answer.label != base.label:
-                    found = (b, t, p, answer.label, cand)
-                    break
-            if found:
-                break
+        before = opponent.fn(d, ctx).label
+        found = _label_flip(opponent, d, before, t_bound, ctx)
         if found is None:
-            p0, p1 = top + 1, top + 2
+            p0 = max(outline(d), default=-1) + 1
+            p1 = p0 + 1
             split = (from_elements(pos(d) | {p0}), from_elements(pos(d) | {p1}))
             return Witness(
                 "split-pair", "mindchange", opponent.name, bounds,
@@ -486,7 +335,7 @@ def mindchange_driver(
                 opponent_ref=opponent,
             )
         b, t, p, after, cand = found
-        transcript.append(MindchangeRound(k, b, t, p, base.label, after))
+        transcript.append(MindchangeRound(k, b, t, p, before, after))
         d = cand
     return Witness(
         "mindchange-transcript", "mindchange", opponent.name, bounds,
@@ -495,24 +344,36 @@ def mindchange_driver(
     )
 
 
+_GAMES = {
+    "caut_tar": _caut,
+    "caut_inf": _caut,
+    "caut_fin": _caut_fin,
+    "smon_vs_dual": _smon_vs_dual,
+    "dual_vs_smon": _dual_vs_smon,
+    "mon_vs_dual": _three_stage,
+    "dual_vs_mon": _three_stage,
+    "mindchange": lambda g: mindchange_driver(
+        g.opponent, g.bounds.rounds, g.bounds.t_bound, g.ctx),
+}
+
+ADVERSARY_IDS = tuple(_GAMES)
+
+
 def run_adversary(
     adversary_id: str,
     opponent: Learner,
     bounds: Bounds = DEFAULT_BOUNDS,
     ctx: EvalContext | None = None,
 ) -> Witness:
-    """Dispatch one registered adversary by id."""
-    if adversary_id in ("caut_tar", "caut_inf"):
-        return caut_adversary(adversary_id, opponent, bounds, ctx)
-    if adversary_id == "caut_fin":
-        return cautfin_adversary(opponent, bounds, ctx)
-    if adversary_id in ("smon_vs_dual", "dual_vs_smon") or adversary_id in _THREE_STAGE:
-        return monotonicity_adversary(adversary_id, opponent, bounds, ctx=ctx)
-    if adversary_id == "mindchange":
-        return mindchange_driver(opponent, bounds.rounds, bounds.t_bound, ctx)
-    raise ValueError(
-        f"unknown adversary {adversary_id!r}; known: {', '.join(ADVERSARY_IDS)}"
-    )
+    """Play one registered adversary by id."""
+    game = _GAMES.get(adversary_id)
+    if game is None:
+        raise ValueError(f"unknown adversary {adversary_id!r};"
+                         f" known: {', '.join(ADVERSARY_IDS)}")
+    try:
+        return game(_Game(adversary_id, opponent, bounds, ctx))
+    except _Stop as stop:
+        return stop.args[0]
 
 
 def verify_witness(w: Witness) -> bool:
@@ -547,13 +408,8 @@ def verify_witness(w: Witness) -> bool:
         if w.data is None or w.split is None or w.split[0] == w.split[1]:
             return False
         base = w.opponent_ref.fn(w.data, ctx).label
-        top = max(outline(w.data), default=-1)
-        for b in (0, 1):
-            p = top + 1 + b
-            for t in range(w.bounds.t_bound + 1):
-                if w.opponent_ref.fn(_succ(w.data, p, t), ctx).label != base:
-                    return False
-        return True
+        return _label_flip(w.opponent_ref, w.data, base, w.bounds.t_bound,
+                           ctx) is None
     return False
 
 
@@ -575,8 +431,9 @@ class SubprocessOpponent:
 
     def __init__(self, argv, timeout: float = 5.0, kind: str = "Sd",
                  name: str = "external"):
-        if kind not in KINDS:
-            raise ValueError(f"unknown interaction kind {kind!r}")
+        if kind not in ("G", "Sd"):  # queries carry the data and nothing else
+            raise ValueError(f"external opponents run in mode G or Sd,"
+                             f" not {kind!r}")
         self.kind = kind
         self.name = name
         self.timeout = timeout

@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 when the run matches the stated expectation (checks hold, or
-a witness was wanted and found), 1 when it does not, 2 for config or
-protocol errors.
+a witness was wanted and found), 1 when it does not, 2 for config, output
+or protocol errors.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .upset import combine, complement, parse, relate
 def _cmd_check(args) -> int:
     try:
         text = Path(args.config).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: cannot read {args.config}: {exc}",
               file=sys.stderr)
         return 2
@@ -38,7 +38,11 @@ def _cmd_check(args) -> int:
     document = render_report(report, args.mode)
     out = args.output or cfg.output
     if out:
-        Path(out).write_text(document)
+        try:
+            Path(out).write_text(document)
+        except OSError as exc:
+            print(f"output error: cannot write {out}: {exc}", file=sys.stderr)
+            return 2
         print(f"report written to {out}", file=sys.stderr)
     else:
         print(document, end="")

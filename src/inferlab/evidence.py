@@ -141,7 +141,7 @@ def format_sequence(d) -> str:
     return ",".join(f"{ex.value}:{'+' if ex.label else '-'}" for ex in items)
 
 
-_ORDERS = ("canonical", "fresh", "shuffled")
+ORDERS = ("canonical", "fresh", "shuffled")
 _BLOCK = 8
 
 
@@ -168,7 +168,7 @@ class Informant:
                 raise ValueError(
                     f"head example {ex} contradicts target {self.target}"
                 )
-        if self.order not in _ORDERS:
+        if self.order not in ORDERS:
             raise ValueError(f"unknown order {self.order!r}")
         object.__setattr__(self, "head", head)
 

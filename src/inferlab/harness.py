@@ -40,7 +40,7 @@ from .combinators import (
     patched_learner,
     to_set_driven,
 )
-from .evidence import Example, Informant, canonical_informant
+from .evidence import ORDERS, Example, Informant, canonical_informant
 from .interaction import EvalContext, Learner, run, with_fresh_labels
 from .restrictions import RESTRICTION_IDS, check, probe_semantic, revalidate
 from .upset import UPSet, parse
@@ -71,7 +71,6 @@ __all__ = [
 
 SEED_ENV = "INFERLAB_SEED"
 
-_ORDERS = ("canonical", "fresh", "shuffled")
 _EXPECTS = ("satisfied", "witness")
 
 
@@ -241,9 +240,9 @@ def _resolve_schedules(raw, errors) -> tuple[Schedule, ...]:
             errors.append(f"{where}: unknown keys {sorted(unknown)}")
             continue
         order = entry.get("order", "canonical")
-        if order not in _ORDERS:
+        if order not in ORDERS:
             errors.append(f"{where}: unknown order {order!r}; known: "
-                          f"{', '.join(_ORDERS)}")
+                          f"{', '.join(ORDERS)}")
             continue
         seed = entry.get("seed")
         if order == "shuffled":

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from inferlab import adversary
 from inferlab.adversary import (
     ADVERSARY_IDS,
     Bounds,
@@ -12,10 +13,7 @@ from inferlab.adversary import (
     OpponentError,
     SubprocessOpponent,
     Witness,
-    caut_adversary,
-    cautfin_adversary,
     mindchange_driver,
-    monotonicity_adversary,
     run_adversary,
     verify_witness,
 )
@@ -36,7 +34,7 @@ def test_bounds_validation():
 # cautiousness games
 
 def test_caut_adversary_on_cofinite_learner():
-    w = caut_adversary("caut", learner("cofinite"))
+    w = run_adversary("caut_inf", learner("cofinite"))
     assert w.kind == "restriction-violation"
     assert dict(w.params)["n0"] == 0
     assert w.verdict.indices == (0, 2)
@@ -46,29 +44,27 @@ def test_caut_adversary_on_cofinite_learner():
 
 
 def test_caut_tar_and_inf_variants():
-    tar = caut_adversary("caut_tar", learner("cofinite"))
+    tar = run_adversary("caut_tar", learner("cofinite"))
     assert tar.verdict.restriction == "caut_tar"
     assert tar.verdict.indices == (0,)
     assert verify_witness(tar)
-    inf = caut_adversary("caut_inf", learner("cofinite"))
+    inf = run_adversary("caut_inf", learner("cofinite"))
     assert inf.verdict.indices == (0, 2)
     assert verify_witness(inf)
-    with pytest.raises(ValueError):
-        caut_adversary("caut_fin", learner("cofinite"))  # separate driver
 
 
 def test_caut_adversary_exhausts_honestly():
     # never conjectures the naturals: nothing to descend from
-    w = caut_adversary("caut", learner("fin_pos"))
+    w = run_adversary("caut_inf", learner("fin_pos"))
     assert w.kind == "exhausted"
     assert "naturals" in w.note
     assert not w.verdict.satisfied  # bc failure on the naturals, as evidence
     assert verify_witness(w)
-    assert caut_adversary("caut_tar", learner("constant_empty")).kind == "exhausted"
+    assert run_adversary("caut_tar", learner("constant_empty")).kind == "exhausted"
 
 
 def test_cautfin_adversary_on_n_or_fin():
-    w = cautfin_adversary(learner("n_or_fin"))
+    w = run_adversary("caut_fin", learner("n_or_fin"))
     assert w.kind == "restriction-violation"
     assert dict(w.params)["n0"] == 0
     assert w.verdict.restriction == "caut_fin"
@@ -79,7 +75,7 @@ def test_cautfin_adversary_on_n_or_fin():
 def test_cautfin_adversary_no_false_positive_on_cofinite():
     # cofinite conjectures only infinite sets; its descents never land
     # on a finite one, so the finite-descent game must come up empty
-    w = cautfin_adversary(learner("cofinite"))
+    w = run_adversary("caut_fin", learner("cofinite"))
     assert w.kind == "exhausted"
     assert "no finite descent" in w.note
 
@@ -88,7 +84,7 @@ def test_cautfin_adversary_no_false_positive_on_cofinite():
 # monotonicity games
 
 def test_smon_vs_dual_grows_past_commitment():
-    w = monotonicity_adversary("smon_vs_dual", learner("fin_pos"))
+    w = run_adversary("smon_vs_dual", learner("fin_pos"))
     assert w.kind == "restriction-violation"
     assert w.verdict.restriction == "smon_d"
     assert w.verdict.indices == (1, 2)
@@ -97,25 +93,14 @@ def test_smon_vs_dual_grows_past_commitment():
     assert verify_witness(w)
 
 
-def test_smon_vs_dual_custom_stage1():
-    base = from_elements({2, 4})
-    w = monotonicity_adversary("smon_vs_dual", learner("fin_pos"), stage1=base)
-    assert w.kind == "restriction-violation"
-    assert dict(w.params)["x"] == 5
-    assert verify_witness(w)
-    with pytest.raises(ValueError):
-        monotonicity_adversary("smon_vs_dual", learner("fin_pos"),
-                               stage1=parse("|1"))
-
-
 def test_smon_vs_dual_exhausts_on_stubborn_opponent():
-    w = monotonicity_adversary("smon_vs_dual", constant_learner(from_elements({0})))
+    w = run_adversary("smon_vs_dual", constant_learner(from_elements({0})))
     assert w.kind == "exhausted"
     assert "never admitted" in w.note
 
 
 def test_dual_vs_smon_on_segment_learner():
-    w = monotonicity_adversary("dual_vs_smon", learner("segment"))
+    w = run_adversary("dual_vs_smon", learner("segment"))
     assert w.kind == "restriction-violation"
     assert w.verdict.restriction == "smon"
     assert w.verdict.indices == (0, 3)
@@ -125,7 +110,7 @@ def test_dual_vs_smon_on_segment_learner():
 
 
 def test_mon_vs_dual_on_stream_learner():
-    w = monotonicity_adversary("mon_vs_dual", learner("stream_mon"))
+    w = run_adversary("mon_vs_dual", learner("stream_mon"))
     assert w.kind == "restriction-violation"
     assert w.verdict.restriction == "mon_d"
     p = dict(w.params)
@@ -137,7 +122,7 @@ def test_mon_vs_dual_on_stream_learner():
 
 
 def test_dual_vs_mon_on_even_learner():
-    w = monotonicity_adversary("dual_vs_mon", learner("even_dualmon"))
+    w = run_adversary("dual_vs_mon", learner("even_dualmon"))
     assert w.kind == "restriction-violation"
     assert w.verdict.restriction == "mon"
     p = dict(w.params)
@@ -148,7 +133,7 @@ def test_dual_vs_mon_on_even_learner():
 
 def test_monotonicity_unknown_kind():
     with pytest.raises(ValueError):
-        monotonicity_adversary("mon_vs_mon", learner("fin_pos"))
+        run_adversary("mon_vs_mon", learner("fin_pos"))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +172,7 @@ def test_mindchange_requires_set_driven():
 
 
 def test_tampered_witnesses_fail_verification():
-    w = monotonicity_adversary("smon_vs_dual", learner("fin_pos"))
+    w = run_adversary("smon_vs_dual", learner("fin_pos"))
     bad_verdict = dataclasses.replace(w.verdict, indices=(0, 1))
     assert not verify_witness(dataclasses.replace(w, verdict=bad_verdict))
     wrong_el = dataclasses.replace(w.verdict, element=5)
@@ -253,6 +238,16 @@ def test_subprocess_opponent_malformed_reply():
     with SubprocessOpponent([sys.executable, "-c", child]) as opp:
         with pytest.raises(OpponentError, match="malformed"):
             opp.ask(DataSet(frozenset([(0, 1)])))
+
+
+@pytest.mark.parametrize("kind", ["Psd", "It"])
+def test_subprocess_opponent_rejects_unsupported_mode(kind, monkeypatch):
+    def spawn(*args, **kwargs):
+        raise AssertionError("child process spawned")
+
+    monkeypatch.setattr(adversary.subprocess, "Popen", spawn)
+    with pytest.raises(ValueError, match=kind):
+        SubprocessOpponent([sys.executable, "-c", _FIN_POS_CHILD], kind=kind)
 
 
 def test_subprocess_opponent_timeout():

@@ -61,6 +61,23 @@ def test_check_exit_two_on_bad_config(tmp_path):
     assert missing.returncode == 2
 
 
+def test_check_exit_two_on_undecodable_config(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"learner": "caf\xe9"}')
+    proc = run_cli("check", str(path))
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_check_exit_two_on_unwritable_output(tmp_path):
+    out = tmp_path / "no-such-dir" / "report.json"
+    proc = run_cli("check", write_config(tmp_path), "--output", str(out))
+    assert proc.returncode == 2
+    assert "output error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_check_machine_output_file(tmp_path):
     out = tmp_path / "report.json"
     path = write_config(tmp_path, expect="witness")

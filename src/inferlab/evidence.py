@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .upset import UPSet
@@ -87,6 +88,17 @@ class DataSet:
 Evidence = DataSequence | DataSet
 
 
+def _trusted(cls, items):
+    """Evidence of `cls` over items the caller has already validated.
+
+    Skips `__post_init__`: the items must already be `Example`s in the
+    container type `cls` stores, with no value carrying two labels.
+    """
+    d = object.__new__(cls)
+    object.__setattr__(d, "items", items)
+    return d
+
+
 def _examples(d) -> Iterable[Example]:
     if isinstance(d, (DataSequence, DataSet)):
         return d.items
@@ -145,6 +157,14 @@ ORDERS = ("canonical", "fresh", "shuffled")
 _BLOCK = 8
 
 
+@lru_cache(maxsize=1024)
+def _block_perm(seed: int, block: int) -> tuple[int, ...]:
+    """The values of one shuffled block, in presentation order."""
+    cells = list(range(block * _BLOCK, (block + 1) * _BLOCK))
+    random.Random(seed * 1_000_003 + block).shuffle(cells)
+    return tuple(cells)
+
+
 @dataclass(frozen=True)
 class Informant:
     """Deterministic complete presentation of a target set.
@@ -182,9 +202,7 @@ class Informant:
             value = j
         elif self.order == "shuffled":
             block, offset = divmod(j, _BLOCK)
-            cells = list(range(block * _BLOCK, (block + 1) * _BLOCK))
-            random.Random(self.seed * 1_000_003 + block).shuffle(cells)
-            value = cells[offset]
+            value = _block_perm(self.seed, block)[offset]
         else:  # fresh: canonical order over values the head did not show
             shown = sorted({ex.value for ex in self.head})
             value = j
@@ -229,6 +247,29 @@ def scheduled_informant(target: UPSet, seed: int = 0, plan: Iterable = ()) -> In
 
 def prefix(informant: Informant, n: int) -> DataSequence:
     return DataSequence(tuple(informant.example_at(i) for i in range(n)))
+
+
+def prefixes(
+    informant: Informant, horizon: int
+) -> Iterator[tuple[DataSequence, DataSet]]:
+    """Yield `(prefix(informant, n), content(prefix(informant, n)))`, n = 0..horizon.
+
+    Each index is enumerated once and each new example is validated once,
+    against the running content, so every yielded prefix keeps the
+    evidence invariant without being checked again in full. Only the copy
+    of the items into each new immutable prefix grows with n.
+    """
+    d = _trusted(DataSequence, ())
+    dset = _trusted(DataSet, frozenset())
+    yield d, dset
+    for i in range(horizon):
+        (ex,) = _as_examples((informant.example_at(i),))
+        if Example(ex.value, 1 - ex.label) in dset.items:
+            raise ValueError(f"contradictory labels for {ex.value}")
+        d = _trusted(DataSequence, d.items + (ex,))
+        if ex not in dset.items:
+            dset = _trusted(DataSet, dset.items | {ex})
+        yield d, dset
 
 
 def validate_prefix_for(d, target: UPSet) -> bool:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .evidence import DataSequence, Example, Informant, content, prefix
+from .evidence import DataSequence, Informant, content, prefixes
 from .hypothesis import Hypothesis, hypothesis_for
 from .upset import EMPTY
 
@@ -80,7 +80,13 @@ def run(
     horizon: int,
     ctx: EvalContext | None = None,
 ) -> HypSequence:
-    """Evaluate the learner on prefixes 0..horizon of the informant."""
+    """Evaluate the learner on prefixes 0..horizon of the informant.
+
+    The informant is enumerated and validated once, one example per step,
+    so the run's own cost is linear in `horizon`, apart from copying each
+    step's prefix into the immutable evidence the learner is handed. What
+    the learner does with each prefix comes on top of that.
+    """
     if horizon < 0:
         raise ValueError("horizon must be a natural")
     if ctx is None:
@@ -93,14 +99,13 @@ def run(
             h = learner.fn(h, informant.example_at(i - 1), ctx)
             items.append(h)
     else:
-        for n in range(horizon + 1):
-            d = prefix(informant, n)
+        for n, (d, dset) in enumerate(prefixes(informant, horizon)):
             if learner.kind == "G":
                 h = learner.fn(d, ctx)
             elif learner.kind == "Psd":
-                h = learner.fn(content(d), n, ctx)
+                h = learner.fn(dset, n, ctx)
             else:
-                h = learner.fn(content(d), ctx)
+                h = learner.fn(dset, ctx)
             items.append(h)
     return HypSequence(tuple(items), learner.name, informant)
 

@@ -291,7 +291,8 @@ _IMPLICATIONS = (
 def test_restriction_lattice(announce):
     failures = []
     for seq in _lattice_corpus():
-        v = {rid: check_all(seq)[rid].satisfied for rid in RESTRICTION_IDS}
+        verdicts = check_all(seq)
+        v = {rid: verdicts[rid].satisfied for rid in RESTRICTION_IDS}
         where = (seq.learner_name, seq.informant.describe())
         for premise, conclusions in _IMPLICATIONS:
             for conclusion in conclusions:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from inferlab.evidence import (
+    ORDERS,
     DataSequence,
     DataSet,
     Example,
@@ -15,6 +16,7 @@ from inferlab.evidence import (
     parse_sequence,
     pos,
     prefix,
+    prefixes,
     project,
     scheduled_informant,
     validate_prefix_for,
@@ -167,3 +169,45 @@ def test_prefix_is_monotone():
     long = prefix(inf, 20)
     for n in range(20):
         assert prefix(inf, n).items == long.items[:n]
+
+
+_TARGETS = ("|0", "|1", "10|1", "0110|10", "1|0", "|100", "111|0")
+
+
+@given(
+    st.sampled_from(ORDERS),
+    st.sampled_from(_TARGETS),
+    st.integers(0, 50),
+    st.lists(st.integers(0, 40), max_size=6),
+    st.integers(0, 60),
+)
+def test_prefixes_match_rebuilt_prefixes(order, text, seed, plan, horizon):
+    target = parse(text)
+    head = scheduled_informant(target, seed=seed, plan=plan).head
+    inf = Informant(target, head, order, seed)
+    expected = [(prefix(inf, n), content(prefix(inf, n)))
+                for n in range(horizon + 1)]
+    got = list(prefixes(inf, horizon))
+    assert got == expected
+    for (d, dset), (d0, dset0) in zip(got, expected):
+        assert d.items == d0.items and dset.items == dset0.items
+        assert hash(d) == hash(d0) and hash(dset) == hash(dset0)
+
+
+class _ListedInformant:
+    def __init__(self, *examples):
+        self.examples = examples
+
+    def example_at(self, i):
+        return self.examples[i]
+
+
+def test_prefixes_validate_each_new_example():
+    ok = _ListedInformant(Example(4, 1), Example(4, 1), (2, 0))
+    assert [len(dset) for _, dset in prefixes(ok, 3)] == [0, 1, 1, 2]
+    with pytest.raises(ValueError, match="contradictory labels for 4"):
+        list(prefixes(_ListedInformant(Example(4, 1), Example(4, 0)), 2))
+    with pytest.raises(ValueError):
+        list(prefixes(_ListedInformant((3, 2)), 1))
+    with pytest.raises(ValueError):
+        list(prefixes(_ListedInformant((-1, 1)), 1))

@@ -1,9 +1,13 @@
 import pytest
 
+from inferlab.catalog import learner
+from inferlab.combinators import cons_wmon_wrapper
 from inferlab.evidence import (
     DataSequence,
     Example,
+    Informant,
     canonical_informant,
+    content,
     pos,
     prefix,
     scheduled_informant,
@@ -18,6 +22,7 @@ from inferlab.interaction import (
     as_full_information,
     order_insensitivity_probe,
     run,
+    with_fresh_labels,
 )
 from inferlab.upset import EMPTY, from_elements, parse, union
 
@@ -145,3 +150,72 @@ def test_fresh_labels_are_odd_and_increasing():
     ctx = EvalContext()
     labels = [ctx.fresh_label() for _ in range(5)]
     assert labels == [1, 3, 5, 7, 9]
+
+
+def _oracle_run(lrn, informant, horizon, ctx):
+    """Reference loop: rebuild every prefix from scratch at every step."""
+    if lrn.kind == "It":
+        items = [INITIAL_HYPOTHESIS]
+        for i in range(horizon):
+            items.append(lrn.fn(items[-1], informant.example_at(i), ctx))
+        return items
+    items = []
+    for n in range(horizon + 1):
+        d = prefix(informant, n)
+        if lrn.kind == "G":
+            items.append(lrn.fn(d, ctx))
+        elif lrn.kind == "Psd":
+            items.append(lrn.fn(content(d), n, ctx))
+        else:
+            items.append(lrn.fn(content(d), ctx))
+    return items
+
+
+_PIPELINES = (
+    FIN_POS,
+    LENGTH_AWARE,
+    IT_COLLECT,
+    learner("segment"),
+    learner("cofinite"),
+    with_fresh_labels(learner("stream_mon")),
+    with_fresh_labels(LENGTH_AWARE),
+    with_fresh_labels(IT_COLLECT),
+    cons_wmon_wrapper(learner("cofinite")),
+    cons_wmon_wrapper(with_fresh_labels(learner("fin_pos"))),
+)
+
+_INFORMANTS = (
+    canonical_informant(parse("10|1")),
+    scheduled_informant(parse("1|0"), seed=5, plan=[0, (2, 0), 0]),
+    Informant(parse("|10"), (Example(4, 1), Example(1, 0)), "fresh"),
+)
+
+
+@pytest.mark.parametrize("lrn", _PIPELINES, ids=lambda lrn: lrn.name)
+def test_run_matches_rebuilding_oracle(lrn):
+    for informant in _INFORMANTS:
+        ctx, oracle_ctx = EvalContext(), EvalContext()
+        seq = run(lrn, informant, 14, ctx)
+        assert list(seq.items) == _oracle_run(lrn, informant, 14, oracle_ctx)
+        assert ctx.memo == oracle_ctx.memo
+
+
+@pytest.mark.parametrize("lrn", (
+    Learner("first", "G", lambda d, ctx: INITIAL_HYPOTHESIS),
+    LENGTH_AWARE,
+    FIN_POS,
+), ids=lambda lrn: lrn.kind)
+def test_run_enumerates_the_informant_once(lrn, monkeypatch):
+    calls = []
+    example_at = Informant.example_at
+
+    def counted(self, i):
+        calls.append(i)
+        return example_at(self, i)
+
+    monkeypatch.setattr(Informant, "example_at", counted)
+    inf = scheduled_informant(parse("10|1"), seed=2, plan=[3, 3])
+    for horizon in (0, 1, 40):
+        calls.clear()
+        run(lrn, inf, horizon)
+        assert calls == list(range(horizon))

@@ -5,9 +5,41 @@ informant) and returns a verdict. Violated verdicts carry a site: the
 indices and, where meaningful, the element that witness the violation, so
 a verdict can be re-established later against the same run.
 
-Pair scans visit the later index in the outer loop. A longer run of the
-same learner then extends the scan instead of reordering it, so the first
-violation site found is stable under horizon growth.
+A pair restriction is violated by a pair s < t of indices; its site is
+the first bad pair in (t, then s) order, the order a full scan with the
+later index outside would meet it. A longer run of the same learner then
+extends the scan instead of reordering it, so the site is stable under
+horizon growth. The scans below return exactly that site while testing far
+fewer pairs:
+
+- Only change points t, where the extension differs from the one at t-1,
+  are visited, and at each only the earliest index of each distinct
+  earlier extension is tested. A pair of equal extensions is never bad,
+  and a pair test depends only on the two extensions (and on t for the
+  weakly monotone gate, which only tightens as t grows), so a bad pair
+  (s, t) at a repeated extension makes (s, t-1) bad first, and among
+  equal earlier extensions the earliest index comes first.
+- mon, mon_d, mon_b, smon, smon_d, smon_b: "the pair is fine" is
+  reflexive and transitive, so while every step (t-1, t) is fine so is
+  every pair up to t. Only steps are tested until the first bad one; at
+  that t the earlier extensions are searched for the least bad s.
+- wmon, wmon_d, wmon_b: an earlier extension counts at t only while it is
+  consistent with the data shown before t. Once it is not, it is not at
+  any later t either, so it leaves the live set for good. The tests are
+  quadratic in the number of live distinct extensions at worst.
+- caut, caut_fin, caut_inf: a change point is skipped outright when its
+  extension fails the finiteness condition or when no earlier extension
+  strictly contains it. The latter is asked only of the maximal earlier
+  extensions (those no other earlier one strictly contains), which is one
+  test per change point while the extensions form a chain and quadratic
+  in the distinct extensions at worst. Only at the first change point
+  that passes both are the earlier extensions searched for the least bad
+  s. (The union of the earlier extensions would answer the same question
+  in one test, but its period is the lcm of all periods seen, which
+  grows without bound.)
+
+Each pair condition is defined once (`_pair_bad`, `_caut_bad`), and both
+the scans and `evaluate_site` use it.
 """
 
 from __future__ import annotations
@@ -100,8 +132,34 @@ def _pair_bad(variant: str, wa: UPSet, wb: UPSet, target: UPSet) -> UPSet:
     return union(difference(wa, wb), difference(wb, wa))  # smon_b, wmon_b
 
 
-def _descent(wa: UPSet, wb: UPSet) -> bool:
-    return relate(wb, wa) is Relation.PROPER_SUBSET
+def _lands(variant: str, wb: UPSet) -> bool:
+    """Does the later extension meet the variant's finiteness condition?"""
+    return variant == "caut" or wb.is_finite() == (variant == "caut_fin")
+
+
+def _caut_bad(variant: str, wa: UPSet, wb: UPSet) -> UPSet:
+    """Elements witnessing that the (earlier, later) pair breaks the variant.
+
+    A pair breaks caution when the later extension is a proper subset of
+    the earlier one (and, for caut_fin/caut_inf, is finite/infinite); the
+    witnesses are the elements the descent loses.
+    """
+    if (not _lands(variant, wb)
+            or relate(wb, wa) is not Relation.PROPER_SUBSET):
+        return EMPTY
+    return difference(wa, wb)
+
+
+def _earliest(exts: list[UPSet], t: int) -> dict[UPSet, int]:
+    """Earliest index of each distinct extension before t but exts[t]'s.
+
+    The dict is in index order, so the first bad one found is the least s.
+    """
+    firsts: dict[UPSet, int] = {}
+    for s in range(t):
+        firsts.setdefault(exts[s], s)
+    firsts.pop(exts[t], None)
+    return firsts
 
 
 _PAIR_DETAIL = {
@@ -132,26 +190,93 @@ def check_cons(seq: HypSequence) -> Verdict:
     return Verdict("cons", True)
 
 
+def _chain_site(variant: str, seq: HypSequence):
+    """First bad (s, t, witnesses) of an ungated pair variant, or None.
+
+    Fine pairs compose, so the first bad t is the first change point whose
+    step (t-1, t) is bad; only there are the earlier extensions searched.
+    """
+    target = seq.informant.target
+    exts = [h.extension for h in seq.items]
+    for t in range(1, len(exts)):
+        wb = exts[t]
+        if (wb == exts[t - 1]
+                or _pair_bad(variant, exts[t - 1], wb, target) == EMPTY):
+            continue
+        for wa, s in _earliest(exts, t).items():
+            bad = _pair_bad(variant, wa, wb, target)
+            if bad != EMPTY:
+                return s, t, bad
+    return None
+
+
+def _gated_site(variant: str, seq: HypSequence):
+    """First bad (s, t, witnesses) of a weakly monotone variant, or None.
+
+    The gate only tightens as t grows, so an extension leaves the live set
+    for good at the first change point where it fails the gate, and one
+    that fails it right after its first index never enters (nor re-enters
+    when it recurs).
+    """
+    target, informant = seq.informant.target, seq.informant
+    horizon = len(seq) - 1
+    exts = [h.extension for h in seq.items]
+    live: dict[UPSet, int] = {}  # extension -> earliest index, index order
+    for t, wb in enumerate(exts):
+        if t and wb == exts[t - 1]:
+            continue
+        for wa, s in list(live.items()):
+            if not _consistent_at(wa, informant, t, horizon):
+                del live[wa]
+            elif wa != wb:
+                bad = _pair_bad(variant, wa, wb, target)
+                if bad != EMPTY:
+                    return s, t, bad
+        if (t < horizon and wb not in live
+                and _consistent_at(wb, informant, t + 1, horizon)):
+            live[wb] = t
+    return None
+
+
 def check_monotone(variant: str, seq: HypSequence) -> Verdict:
     if variant not in _MONOTONE:
         raise ValueError(f"not a monotonicity variant: {variant!r}")
-    target = seq.informant.target
-    horizon = len(seq) - 1
-    gated = variant.startswith("wmon")
-    for t in range(1, len(seq)):
-        wb = seq[t].extension
-        for s in range(t):
-            wa = seq[s].extension
-            if gated and not _consistent_at(wa, seq.informant, t, horizon):
-                continue
-            bad = _pair_bad(variant, wa, wb, target)
-            if bad != EMPTY:
-                x = min_element(bad)
-                return Verdict(
-                    variant, False, (s, t), x,
-                    _PAIR_DETAIL[variant].format(x=x, s=s, t=t),
-                )
-    return Verdict(variant, True)
+    scan = _gated_site if variant.startswith("wmon") else _chain_site
+    site = scan(variant, seq)
+    if site is None:
+        return Verdict(variant, True)
+    s, t, bad = site
+    x = min_element(bad)
+    return Verdict(
+        variant, False, (s, t), x,
+        _PAIR_DETAIL[variant].format(x=x, s=s, t=t),
+    )
+
+
+def _caut_site(variant: str, seq: HypSequence):
+    """First bad (s, t, witnesses) of a pair caution variant, or None.
+
+    A change point is searched only when its extension meets the
+    finiteness condition and some earlier extension strictly contains it.
+    `tops` holds the earlier extensions that no other earlier one strictly
+    contains; every earlier extension lies inside one of them, so asking
+    them is enough.
+    """
+    exts = [h.extension for h in seq.items]
+    tops: list[UPSet] = []
+    for t, wb in enumerate(exts):
+        if t and wb == exts[t - 1]:
+            continue
+        rels = [relate(wb, m) for m in tops]
+        if Relation.PROPER_SUBSET in rels and _lands(variant, wb):
+            for wa, s in _earliest(exts, t).items():
+                bad = _caut_bad(variant, wa, wb)
+                if bad != EMPTY:
+                    return s, t, bad
+        if Relation.PROPER_SUBSET not in rels and Relation.EQUAL not in rels:
+            tops = [m for m, r in zip(tops, rels)
+                    if r is not Relation.PROPER_SUPERSET] + [wb]
+    return None
 
 
 def check_cautious(variant: str, seq: HypSequence) -> Verdict:
@@ -167,25 +292,18 @@ def check_cautious(variant: str, seq: HypSequence) -> Verdict:
                     f"extension at {t} strictly covers the target ({x} extra)",
                 )
         return Verdict("caut_tar", True)
-    for t in range(1, len(seq)):
-        wb = seq[t].extension
-        for s in range(t):
-            wa = seq[s].extension
-            if not _descent(wa, wb):
-                continue
-            if variant == "caut_fin" and not wb.is_finite():
-                continue
-            if variant == "caut_inf" and wb.is_finite():
-                continue
-            x = min_element(difference(wa, wb))
-            kind = ("" if variant == "caut"
-                    else " onto a finite set" if variant == "caut_fin"
-                    else " onto an infinite set")
-            return Verdict(
-                variant, False, (s, t), x,
-                f"descent{kind} from {s} to {t} (loses {x})",
-            )
-    return Verdict(variant, True)
+    site = _caut_site(variant, seq)
+    if site is None:
+        return Verdict(variant, True)
+    s, t, bad = site
+    x = min_element(bad)
+    kind = ("" if variant == "caut"
+            else " onto a finite set" if variant == "caut_fin"
+            else " onto an infinite set")
+    return Verdict(
+        variant, False, (s, t), x,
+        f"descent{kind} from {s} to {t} (loses {x})",
+    )
 
 
 def check_bc(seq: HypSequence) -> Verdict:
@@ -302,14 +420,9 @@ def evaluate_site(
         s, t = indices
         if not s < t:
             return False
-        wa, wb = seq[s].extension, seq[t].extension
-        if not _descent(wa, wb):
-            return False
-        if restriction == "caut_fin" and not wb.is_finite():
-            return False
-        if restriction == "caut_inf" and wb.is_finite():
-            return False
-        return difference(wa, wb).member(element)
+        return _caut_bad(
+            restriction, seq[s].extension, seq[t].extension
+        ).member(element)
     if restriction == "bc":
         if len(indices) != 1 or element is None:
             return False

@@ -31,9 +31,29 @@ def _minimal_period(q: str) -> str:
     # gcd, so the minimal one divides |q|; scan divisors in increasing order.
     n = len(q)
     for d in range(1, n):
-        if n % d == 0 and all(q[i] == q[i % d] for i in range(n)):
+        if n % d == 0 and q == q[:d] * (n // d):
             return q[:d]
     return q
+
+
+def _periodic_tail(p: str, q: str) -> int:
+    """Length of the longest suffix of p that the period q continues.
+
+    The period extended backwards from the end of p reads ...q q; the
+    suffix lengths that match it are exactly 0..k, so k is the number of
+    trailing zero bits of p xor that backward extension.
+    """
+    if not p:
+        return 0
+    back = (q * (len(p) // len(q) + 1))[-len(p):]
+    diff = int(p, 2) ^ int(back, 2)
+    return (diff & -diff).bit_length() - 1 if diff else len(p)
+
+
+def _expand(u: UPSet, length: int) -> str:
+    """Membership bits of 0..length-1, element 0 first."""
+    p, q = u.prefix, u.period
+    return (p + q * ((length - len(p)) // len(q) + 1))[:length]
 
 
 @dataclass(frozen=True)
@@ -55,9 +75,12 @@ class UPSet:
         p, q = self.prefix, _minimal_period(self.period)
         # Dropping the last prefix bit is sound iff it matches the bit the
         # period would produce there, i.e. the period's last bit once the
-        # period is rotated right. Rotation keeps the minimal period length.
-        while p and p[-1] == q[-1]:
-            p, q = p[:-1], q[-1] + q[:-1]
+        # period is rotated right. So the whole matching tail goes at once,
+        # and the period rotates right by its length, which keeps the
+        # minimal period length.
+        k = _periodic_tail(p, q)
+        r = len(q) - k % len(q)
+        p, q = p[:len(p) - k], q[r:] + q[:r]
         object.__setattr__(self, "prefix", p)
         object.__setattr__(self, "period", q)
 
@@ -107,15 +130,16 @@ def member(u: UPSet, x: int) -> bool:
 
 def bounded_elements(u: UPSet, bound: int) -> tuple[int, ...]:
     """All members x <= bound, increasing."""
-    return tuple(x for x in range(bound + 1) if u.member(x))
+    return tuple(x for x, bit in enumerate(_expand(u, bound + 1)) if bit == "1")
 
 
 def min_element(u: UPSet) -> int | None:
     """Smallest member, or None for the empty set."""
-    for x in range(len(u.prefix) + len(u.period)):
-        if u.member(x):
-            return x
-    return None
+    x = u.prefix.find("1")
+    if x >= 0:
+        return x
+    x = u.period.find("1")
+    return len(u.prefix) + x if x >= 0 else None
 
 
 def from_elements(xs: Iterable[int]) -> UPSet:
@@ -130,9 +154,16 @@ def from_elements(xs: Iterable[int]) -> UPSet:
     return UPSet(bits, "0")
 
 
-def _aligned_bound(a: UPSet, b: UPSet) -> tuple[int, int]:
+def _masks(a: UPSet, b: UPSet) -> tuple[int, int, int, int]:
+    """Both sets as int bit masks over one common cycle.
+
+    Returns (n, length, mask of a, mask of b): bits cover 0..length-1 with
+    element 0 as the most significant bit, n is the longer prefix, and
+    length - n is the lcm of the periods.
+    """
     n = max(len(a.prefix), len(b.prefix))
-    return n, math.lcm(len(a.period), len(b.period))
+    length = n + math.lcm(len(a.period), len(b.period))
+    return n, length, int(_expand(a, length), 2), int(_expand(b, length), 2)
 
 
 @lru_cache(maxsize=None)
@@ -142,12 +173,8 @@ def relate(a: UPSet, b: UPSet) -> Relation:
     After the longer prefix both membership sequences are periodic with the
     lcm of the periods, so one full common cycle decides the comparison.
     """
-    n, cycle = _aligned_bound(a, b)
-    a_extra = b_extra = False
-    for x in range(n + cycle):
-        ma, mb = a.member(x), b.member(x)
-        a_extra = a_extra or (ma and not mb)
-        b_extra = b_extra or (mb and not ma)
+    _, _, ma, mb = _masks(a, b)
+    a_extra, b_extra = ma & ~mb, mb & ~ma
     if a_extra and b_extra:
         return Relation.INCOMPARABLE
     if a_extra:
@@ -162,26 +189,24 @@ def is_subset(a: UPSet, b: UPSet) -> bool:
 
 
 def _pointwise(a: UPSet, b: UPSet, op) -> UPSet:
-    n, cycle = _aligned_bound(a, b)
-    bits = "".join(
-        "1" if op(a.member(x), b.member(x)) else "0" for x in range(n + cycle)
-    )
+    n, length, ma, mb = _masks(a, b)
+    bits = format(op(ma, mb), f"0{length}b")
     return UPSet(bits[:n], bits[n:])
 
 
 @lru_cache(maxsize=None)
 def union(a: UPSet, b: UPSet) -> UPSet:
-    return _pointwise(a, b, lambda x, y: x or y)
+    return _pointwise(a, b, lambda x, y: x | y)
 
 
 @lru_cache(maxsize=None)
 def intersection(a: UPSet, b: UPSet) -> UPSet:
-    return _pointwise(a, b, lambda x, y: x and y)
+    return _pointwise(a, b, lambda x, y: x & y)
 
 
 @lru_cache(maxsize=None)
 def difference(a: UPSet, b: UPSet) -> UPSet:
-    return _pointwise(a, b, lambda x, y: x and not y)
+    return _pointwise(a, b, lambda x, y: x & ~y)
 
 
 @lru_cache(maxsize=None)

@@ -61,3 +61,78 @@ def _products(alphabet, n):
     for rest in _products(alphabet, n - 1):
         for ch in alphabet:
             yield (ch, *rest)
+
+
+def _pair_witness(variant: str, a: bool, b: bool, t: bool) -> bool:
+    """Does an element witness a bad (earlier, later) pair?
+
+    a, b and t say whether it lies in the earlier extension, the later one
+    and the target.
+    """
+    if variant == "mon":
+        return a and t and not b
+    if variant == "mon_d":
+        return b and not a and not t
+    if variant == "mon_b":
+        return (a and t and not b) or (b and not a and not t)
+    if variant in ("smon", "wmon", "caut", "caut_fin", "caut_inf"):
+        return a and not b
+    if variant in ("smon_d", "wmon_d"):
+        return b and not a
+    if variant in ("smon_b", "wmon_b"):
+        return a != b
+    raise ValueError(f"not a pair variant: {variant!r}")
+
+
+def raw_first_site(variant: str, exts, target, conflicts):
+    """The first violation site of a pair restriction, by the full scan.
+
+    `exts` holds one raw (prefix, period) extension per index, `target` is
+    a raw (prefix, period) pair, and `conflicts[s]` is the least
+    presentation index whose datum contradicts exts[s] (None if there is
+    none); a weakly monotone pair (s, t) counts only if conflicts[s] is
+    None or at least t.
+    Every pair is visited, later index outer, earlier inner, and its
+    witnesses are read element by element. Returns (satisfied, indices,
+    element) as `check` reports them.
+    """
+    tp, tq = target
+    for t in range(1, len(exts)):
+        bp, bq = exts[t]
+        for s in range(t):
+            ap, aq = exts[s]
+            if (variant.startswith("wmon") and conflicts[s] is not None
+                    and conflicts[s] < t):
+                continue
+            bound = max(len(ap), len(bp), len(tp)) + math.lcm(
+                len(aq), len(bq), len(tq))
+            xs = range(bound)
+            if variant.startswith("caut"):
+                gained = any(raw_member(bp, bq, x)
+                             and not raw_member(ap, aq, x) for x in xs)
+                finite = "1" not in bq
+                if gained or (variant == "caut_fin" and not finite) or (
+                        variant == "caut_inf" and finite):
+                    continue
+            for x in xs:
+                if _pair_witness(variant, raw_member(ap, aq, x),
+                                 raw_member(bp, bq, x),
+                                 raw_member(tp, tq, x)):
+                    return False, (s, t), x
+    return True, (), None
+
+
+def raw_canonical(prefix: str, period: str) -> tuple[str, str]:
+    """Canonical (prefix, period) by shrinking one step at a time.
+
+    The period shrinks to its shortest repeating block; then, while the
+    last prefix bit equals the last period bit, that bit is dropped and the
+    period is rotated right by one.
+    """
+    n = len(period)
+    q = next(period[:d] for d in range(1, n + 1)
+             if n % d == 0 and period == period[:d] * (n // d))
+    p = prefix
+    while p and p[-1] == q[-1]:
+        p, q = p[:-1], q[-1] + q[:-1]
+    return p, q

@@ -1,8 +1,18 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from inferlab.evidence import canonical_informant, pos, scheduled_informant
+import inferlab.restrictions as restrictions
+from inferlab.catalog import learner as catalog_learner
+from inferlab.evidence import (
+    Example,
+    Informant,
+    canonical_informant,
+    pos,
+    scheduled_informant,
+)
 from inferlab.hypothesis import Hypothesis, hypothesis_for
 from inferlab.interaction import (
     EvalContext,
@@ -21,11 +31,21 @@ from inferlab.restrictions import (
     check_bc,
     check_cons,
     check_ex,
+    evaluate_site,
     probe_delayability,
     probe_semantic,
     revalidate,
 )
-from inferlab.upset import NATURALS, complement, from_elements, parse
+from inferlab.upset import (
+    NATURALS,
+    UPSet,
+    complement,
+    difference,
+    from_elements,
+    parse,
+    union,
+)
+from oracles import raw_first_site, raw_member
 
 EVENS = parse("|10")
 
@@ -133,6 +153,9 @@ def test_caut_family():
     assert check("caut_inf", descent_fin).satisfied
     assert check("caut_fin", descent_inf).satisfied
     assert not check("caut_inf", descent_inf).satisfied
+    # the descent is from index 0, past an incomparable extension at 1
+    v = check("caut", seq_of(EVENS, [fin(0, 1), fin(5), fin(0)]))
+    assert (v.satisfied, v.indices, v.element) == (False, (0, 2), 1)
 
 
 def test_caut_target():
@@ -325,3 +348,97 @@ def test_delayability_report_shape():
     assert isinstance(report, DelayabilityReport)
     assert report.restriction == "bc"
     assert not report.premise.satisfied  # finite guesses never reach the evens
+
+
+PAIR_VARIANTS = ("mon", "mon_d", "mon_b", "smon", "smon_d", "smon_b",
+                 "wmon", "wmon_d", "wmon_b", "caut", "caut_fin", "caut_inf")
+raw_sets = st.tuples(st.text("01", max_size=5),
+                     st.text("01", min_size=1, max_size=3))
+
+
+@st.composite
+def pair_runs(draw):
+    """Runs mixing repeats, increasing chains, descents and random jumps.
+
+    A recall move takes a subset of an extension from further back, which
+    makes descents from indices other than the previous one.
+
+    Besides the naturals, the target and random sets, the pool holds
+    copies of the target with one bit flipped: each is consistent with the
+    data until the flipped element is shown, which drives the weakly
+    monotone gate.
+    """
+    tp, tq = draw(raw_sets)
+    target = UPSet(tp, tq)
+    pool = [NATURALS, target]
+    pool += [UPSet(*d) for d in draw(st.lists(raw_sets, max_size=4))]
+    width = len(tp) + 8 * len(tq)
+    bits = "".join("1" if raw_member(tp, tq, x) else "0" for x in range(width))
+    for j in draw(st.lists(st.integers(0, width - 1), max_size=4)):
+        pool.append(UPSet(bits[:j] + "10"[int(bits[j])] + bits[j + 1:], tq))
+    moves = st.tuples(
+        st.sampled_from(("stay", "jump", "grow", "shrink", "recall")),
+        st.integers(0, len(pool) - 1), st.integers(0, 17))
+    exts = [pool[draw(st.integers(0, len(pool) - 1))]]
+    for move, k, j in draw(st.lists(moves, max_size=18)):
+        prev, old = exts[-1], exts[j % len(exts)]
+        exts.append({"stay": prev, "jump": pool[k],
+                     "grow": union(prev, pool[k]),
+                     "shrink": difference(prev, pool[k]),
+                     "recall": difference(old, pool[k])}[move])
+    order = draw(st.sampled_from(("canonical", "shuffled", "fresh")))
+    head = tuple(Example(v, int(target.member(v)))
+                 for v in draw(st.lists(st.integers(0, 12), max_size=3)))
+    seed = draw(st.integers(0, 9))
+    return seq_of(target, exts, Informant(target, head, order, seed))
+
+
+def _raw(u):
+    return str(u).split("|")
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_runs())
+def test_pair_scans_match_the_full_scan_oracle(seq):
+    inf, horizon = seq.informant, len(seq) - 1
+    data = [inf.example_at(i) for i in range(horizon)]
+    exts = [_raw(h.extension) for h in seq.items]
+    conflicts = [next((i for i, ex in enumerate(data)
+                       if raw_member(p, q, ex.value) != bool(ex.label)), None)
+                 for p, q in exts]
+    for rid in PAIR_VARIANTS:
+        v = check(rid, seq)
+        expected = raw_first_site(rid, exts, _raw(inf.target), conflicts)
+        assert (v.satisfied, v.indices, v.element) == expected, rid
+        if not v.satisfied:
+            assert evaluate_site(rid, seq, v.indices, v.element), rid
+
+
+def _pair_tests(monkeypatch, seq) -> int:
+    """Pair tests made by one check_all: monotone plus caution pairs."""
+    calls = 0
+
+    def counting(fn):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            return fn(*args)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        m.setattr(restrictions, "_pair_bad", counting(restrictions._pair_bad))
+        m.setattr(restrictions, "_caut_bad", counting(restrictions._caut_bad))
+        check_all(seq)
+    return calls
+
+
+@pytest.mark.parametrize("lid,informant", [
+    ("fin_pos", canonical_informant(parse("0|1"))),
+    ("cofinite", Informant(parse("|0"), tuple(
+        Example(v, 0) for v in (29, 26, 9, 27)))),
+])
+def test_check_all_makes_a_linear_number_of_pair_tests(
+        monkeypatch, lid, informant):
+    counts = [_pair_tests(monkeypatch, run(catalog_learner(lid), informant, h))
+              for h in (100, 200)]
+    assert 0 < counts[1] <= 2.5 * counts[0], counts

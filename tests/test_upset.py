@@ -24,7 +24,14 @@ from inferlab.upset import (
     relate,
     union,
 )
-from oracles import all_descriptions, raw_bound, raw_elements, raw_member, raw_relation
+from oracles import (
+    all_descriptions,
+    raw_bound,
+    raw_canonical,
+    raw_elements,
+    raw_member,
+    raw_relation,
+)
 
 bits = st.text(alphabet="01", max_size=8)
 periods = st.text(alphabet="01", min_size=1, max_size=6)
@@ -210,3 +217,32 @@ def test_combination_is_congruent_on_equal_inputs():
     other = parse("110|01")
     assert union(e1, other) == union(e2, other)
     assert difference(other, e1) == difference(other, e2)
+
+
+# Long prefixes whose tail often continues the period, so the canonical
+# trim has long runs to absorb.
+long_descriptions = st.builds(
+    lambda head, q, reps, cut: ((head + q * reps)[cut:][:120], q),
+    st.text(alphabet="01", max_size=120),
+    periods,
+    st.integers(0, 30),
+    st.integers(0, 5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_descriptions, long_descriptions, st.integers(-1, 200))
+def test_kernels_match_the_raw_oracle(da, db, bound):
+    (pa, qa), (pb, qb) = da, db
+    a, b = UPSet(pa, qa), UPSet(pb, qb)
+    assert (a.prefix, a.period) == raw_canonical(pa, qa)
+    assert (b.prefix, b.period) == raw_canonical(pb, qb)
+    top = raw_bound(pa, qa, pb, qb)
+    ea, eb = raw_elements(pa, qa, top), raw_elements(pb, qb, top)
+    for got, want in ((union(a, b), ea | eb), (intersection(a, b), ea & eb),
+                      (difference(a, b), ea - eb),
+                      (complement(a), set(range(top + 1)) - ea)):
+        assert raw_elements(got.prefix, got.period, top) == want
+    assert relate(a, b).value == raw_relation(pa, qa, pb, qb)
+    assert min_element(a) == min(ea, default=None)
+    assert bounded_elements(a, bound) == tuple(sorted(raw_elements(pa, qa, bound)))

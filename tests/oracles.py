@@ -2,11 +2,21 @@
 
 Everything here works on raw prefix/period bit strings or plain Python sets
 and never calls into the package's algebra, so agreement is meaningful.
+The exception is the three wrapper oracles at the end: they rebuild every
+prefix of the evidence from scratch on the package's algebra, so agreeing
+with them shows that the incremental wrappers answer as a full rebuild
+does, not that the algebra is right.
 """
 
 from __future__ import annotations
 
 import math
+
+from inferlab.combinators import _shortest_same_content, _stage_union
+from inferlab.evidence import DataSequence, content, neg, pos
+from inferlab.hypothesis import Hypothesis, consistent
+from inferlab.interaction import Learner, as_full_information
+from inferlab.upset import complement, from_elements, union
 
 
 def raw_member(prefix: str, period: str, x: int) -> bool:
@@ -136,3 +146,96 @@ def raw_canonical(prefix: str, period: str) -> tuple[str, str]:
     while p and p[-1] == q[-1]:
         p, q = p[:-1], q[-1] + q[:-1]
     return p, q
+
+
+def raw_cons_wmon(learner: Learner) -> Learner:
+    """`cons_wmon_wrapper` by rebuilding every prefix and every window."""
+    h = as_full_information(learner)
+
+    def fn(d: DataSequence, ctx):
+        tag = ("cons_wmon", id(learner))
+        for k in range(len(d) + 1):
+            key = (*tag, d.items[:k])
+            if key in ctx.memo:
+                continue
+            tau = DataSequence(d.items[:k])
+            ext = union(
+                from_elements(pos(tau)), _stage_union(h.fn(tau, ctx), tau)
+            )
+            for j in range(k):
+                prev = ctx.memo[(*tag, d.items[:j])]
+                ext = union(ext, _stage_union(prev, tau))
+            ctx.memo[key] = Hypothesis(ctx.fresh_label(), ext)
+        return ctx.memo[(*tag, d.items)]
+
+    return Learner(f"{learner.name}[cons+wmon]", "G", fn)
+
+
+def raw_dual_poison(learner: Learner) -> Learner:
+    """`dual_wmon_poison` by asking the base again on every prefix."""
+    if learner.kind != "Sd":
+        raise ValueError("poisoning is defined for set-driven learners")
+
+    def fn(d: DataSequence, ctx):
+        key = ("dual_wmon", id(learner), d.items)
+        if key in ctx.memo:
+            return ctx.memo[key]
+        p = pos(d)
+        poisoned = False
+        for k in range(len(d) + 1):
+            tau = DataSequence(d.items[:k])
+            if pos(tau) == p:
+                guess = learner.fn(content(tau), ctx)
+                if not all(guess.extension.member(x) for x in p):
+                    poisoned = True
+                    break
+        if poisoned:
+            ext = from_elements(p)
+        else:
+            base = learner.fn(content(d), ctx)
+            if consistent(base, d):
+                ext = base.extension
+            else:
+                ext = complement(from_elements(neg(d)))
+        out = Hypothesis(ctx.fresh_label(), ext)
+        ctx.memo[key] = out
+        return out
+
+    return Learner(f"{learner.name}[dual-poison]", "G", fn)
+
+
+def raw_fourcase(learner: Learner) -> Learner:
+    """`cons_wmon_fourcase` by rebuilding every shortest same-content prefix."""
+    h = as_full_information(learner)
+
+    def fn(d: DataSequence, ctx):
+        tag = ("fourcase", id(learner))
+        for k in range(len(d) + 1):
+            key = (*tag, d.items[:k])
+            if key in ctx.memo:
+                continue
+            m = _shortest_same_content(d.items[:k])
+            red_key = (*tag, "reduced", d.items[:m])
+            if red_key not in ctx.memo:
+                red = DataSequence(d.items[:m])
+                blow = complement(from_elements(neg(red)))
+                fired = any(
+                    neg(DataSequence(d.items[:j])) == neg(red)
+                    and ctx.memo[(*tag, d.items[:j])].extension == blow
+                    for j in range(m)
+                )
+                p = pos(red)
+                base = h.fn(red, ctx)
+                if fired:
+                    ext = blow
+                elif not all(base.extension.member(x) for x in p):
+                    ext = from_elements(p)
+                elif consistent(base, red):
+                    ext = base.extension
+                else:
+                    ext = blow
+                ctx.memo[red_key] = Hypothesis(ctx.fresh_label(), ext)
+            ctx.memo[key] = ctx.memo[red_key]
+        return ctx.memo[(*tag, d.items)]
+
+    return Learner(f"{learner.name}[cons+wmon*]", "G", fn)

@@ -1,5 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from inferlab.catalog import FAMILY_IDS, LEARNER_IDS, family_instances
+from inferlab.catalog import learner as catalog_learner
 from inferlab.combinators import (
     COMBINATORS,
     CanonicalReduction,
@@ -16,6 +21,9 @@ from inferlab.combinators import (
     _stage_union,
 )
 from inferlab.evidence import (
+    DataSequence,
+    Example,
+    Informant,
     canonical_informant,
     content,
     neg,
@@ -24,7 +32,13 @@ from inferlab.evidence import (
     scheduled_informant,
 )
 from inferlab.hypothesis import DelaySchedule, Hypothesis, hypothesis_for
-from inferlab.interaction import EvalContext, Learner, run
+from inferlab.interaction import (
+    EvalContext,
+    Learner,
+    as_full_information,
+    run,
+    with_fresh_labels,
+)
 from inferlab.restrictions import check, check_all
 from inferlab.upset import (
     EMPTY,
@@ -234,3 +248,90 @@ def test_combinator_registry():
     assert combinator("patch") is patched_learner
     with pytest.raises(ValueError):
         combinator("fix_everything")
+
+
+# Each pipeline step as (package version, oracle version).
+_STEPS = {
+    "fresh": (with_fresh_labels, with_fresh_labels),
+    "to_sd": (to_set_driven, to_set_driven),
+    "patch": (patched_learner, patched_learner),
+    "cons_wmon": (cons_wmon_wrapper, oracles.raw_cons_wmon),
+    "fourcase": (cons_wmon_fourcase, oracles.raw_fourcase),
+    "poison": (dual_wmon_poison, oracles.raw_dual_poison),
+}
+_WRAPPERS = ("cons_wmon", "fourcase", "poison")
+_DRAWS_LABELS = ("fresh", "patch", *_WRAPPERS)
+_TARGETS = tuple(dict.fromkeys(
+    t for f in FAMILY_IDS for t in family_instances(f, 4)))
+
+
+def _pipeline(base_id, steps, side):
+    lrn = catalog_learner(base_id)
+    for step in steps:
+        if step == "poison" and lrn.kind != "Sd":
+            lrn = to_set_driven(lrn)
+        lrn = _STEPS[step][side](lrn)
+    return lrn
+
+
+@st.composite
+def _informants(draw):
+    target = draw(st.sampled_from(_TARGETS))
+    head = tuple(Example(v, int(target.member(v)))
+                 for v in draw(st.lists(st.integers(0, 12), max_size=5)))
+    order = draw(st.sampled_from(("canonical", "shuffled", "fresh")))
+    return Informant(target, head, order, draw(st.integers(0, 50)))
+
+
+@st.composite
+def _sequences(draw):
+    """Evidence in any order, with repeats; it need not extend a run."""
+    target = draw(st.sampled_from(_TARGETS))
+    values = draw(st.lists(st.integers(0, 15), max_size=14))
+    return DataSequence(tuple(Example(v, int(target.member(v)))
+                              for v in values))
+
+
+_jobs = st.lists(st.one_of(
+    st.tuples(st.just("run"), _informants(), st.integers(0, 24)),
+    st.tuples(st.just("fn"), _sequences()),
+), min_size=1, max_size=3)
+
+
+def _answers(lrn, jobs):
+    """Every hypothesis the jobs draw from the learner, in one shared ctx."""
+    ctx, out = EvalContext(), []
+    g = as_full_information(lrn)
+    for job in jobs:
+        if job[0] == "run":
+            out += run(lrn, job[1], job[2], ctx).items
+        else:
+            out.append(g.fn(job[1], ctx))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(LEARNER_IDS),
+       st.lists(st.sampled_from(tuple(_STEPS)), max_size=2),
+       st.sampled_from(_WRAPPERS), _jobs)
+def test_wrappers_match_the_rebuilding_oracles(base_id, inner, outer, jobs):
+    """The wrappers answer exactly as the per-prefix rebuilds do.
+
+    Hypotheses must be equal, labels included, with one exception: a
+    `dual_wmon_poison` over a base that draws fresh labels asks that base
+    fewer times than the rebuild, so the fresh labels drawn after it may be
+    renumbered. There the extensions and delays must be equal, and two
+    answers must share a label exactly when the oracle's answers do.
+    """
+    steps = (*inner, outer)
+    got = _answers(_pipeline(base_id, steps, 0), jobs)
+    want = _answers(_pipeline(base_id, steps, 1), jobs)
+    renumbered = any(step == "poison" and set(steps[:i]) & set(_DRAWS_LABELS)
+                     for i, step in enumerate(steps))
+    if not renumbered:
+        assert got == want
+        return
+    assert [(h.extension, h.delay) for h in got] == [
+        (h.extension, h.delay) for h in want]
+    assert [[a.label == b.label for b in got] for a in got] == [
+        [a.label == b.label for b in want] for a in want]

@@ -6,21 +6,47 @@ information from an unordered data set via canonical prefixes, and the
 two wrap-and-poison schemes that keep a run weakly monotonic (classic or
 dual) while making it globally consistent.
 
-All outputs carry fresh odd labels and the default delay schedule; within
-one evaluation context each wrapper memoizes per prefix, so a run sees a
-stable hypothesis per evidence state.
+All outputs carry fresh odd labels and the default delay schedule.
+
+The three memoizing wrappers (`cons_wmon_wrapper`, `cons_wmon_fourcase`,
+`dual_wmon_poison`) answer from a prefix trie kept in `ctx.memo` under a
+key of their own, so a run sees a stable hypothesis per evidence state.
+A node stands for one evidence state and its children are keyed by the
+next example. A call walks its evidence from the root and builds only
+the missing nodes, each from its parent plus one example, so a run asks
+the base learner about once per prefix. Every node carries the running
+positives, negatives and content, and what its wrapper needs next:
+
+- `cons_wmon_wrapper`: the largest positive, and for each distinct
+  earlier answer whose window is not yet empty, that window (the least
+  shown negative inside the answer and its members below it). Only the
+  new example updates a window, and an emptied one is dropped for good.
+- `cons_wmon_fourcase`: whether the blow-up has been conjectured since
+  the last new negative. A repeated example reuses the parent's answer.
+- `dual_wmon_poison`: whether a base answer since the last new positive
+  missed a shown positive. The answer and its fresh label are made only
+  when a call returns the node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .evidence import DataSequence, Example, content, neg, outline, pos
-from .hypothesis import Hypothesis, consistent, stage_enumerate
+from .evidence import (
+    DataSequence,
+    DataSet,
+    Example,
+    _trusted,
+    neg,
+    outline,
+    pos,
+)
+from .hypothesis import Hypothesis, stage_enumerate
 from .interaction import Learner, as_full_information
 from .upset import (
     EMPTY,
     UPSet,
+    bounded_elements,
     complement,
     difference,
     from_elements,
@@ -40,22 +66,10 @@ def prefix_length(d) -> int:
 def canonical_prefix(d) -> DataSequence:
     """The evidence rearranged as a canonical presentation, cut at a gap."""
     positives = pos(d)
-    return DataSequence(
-        tuple(
-            Example(i, 1 if i in positives else 0)
-            for i in range(prefix_length(d))
-        )
-    )
-
-
-@dataclass(frozen=True)
-class CanonicalReduction:
-    length: int
-    sequence: DataSequence
-
-    @classmethod
-    def of(cls, d) -> "CanonicalReduction":
-        return cls(prefix_length(d), canonical_prefix(d))
+    return _trusted(DataSequence, tuple(
+        Example(i, 1 if i in positives else 0)
+        for i in range(prefix_length(d))
+    ))
 
 
 def to_set_driven(learner: Learner) -> Learner:
@@ -109,6 +123,90 @@ def _stage_union(e: Hypothesis, d: DataSequence) -> UPSet:
     return from_elements(stage_enumerate(e, t_bad - 1))
 
 
+@dataclass
+class _Node:
+    """One evidence state of a wrapper's prefix trie.
+
+    Compared field by field, so two tries grown by the same calls are
+    equal. `hyp` is the wrapper's answer once made and `carry` whatever
+    the wrapper hands on to the next state.
+    """
+
+    pos: frozenset[int]
+    neg: frozenset[int]
+    content: DataSet
+    hyp: Hypothesis | None = None
+    carry: object = None
+    children: dict[Example, "_Node"] = field(default_factory=dict)
+
+
+def _child(parent: _Node, ex: Example) -> _Node:
+    """The state after one more example, before the wrapper fills it in."""
+    if ex in parent.content.items:
+        return _Node(parent.pos, parent.neg, parent.content)
+    dset = _trusted(DataSet, parent.content.items | {ex})
+    if ex.label:
+        return _Node(parent.pos | {ex.value}, parent.neg, dset)
+    return _Node(parent.pos, parent.neg | {ex.value}, dset)
+
+
+def _stored(node: _Node, ctx) -> Hypothesis:
+    return node.hyp
+
+
+def _trie_learner(name: str, grow, answer=_stored) -> Learner:
+    """A G learner that answers from a prefix trie kept in `ctx.memo`.
+
+    `grow(parent, node, tau, ctx)` fills in a new node from its parent
+    (None at the root) and the prefix `tau` it stands for; `answer(node,
+    ctx)` gives the hypothesis for the evidence that ends there. Each
+    call walks the evidence from the root and grows only missing nodes.
+    """
+    tag = object()
+
+    def fn(d: DataSequence, ctx):
+        node = ctx.memo.get(tag)
+        if node is None:
+            empty = frozenset()
+            node = _Node(empty, empty, _trusted(DataSet, empty))
+            grow(None, node, _trusted(DataSequence, ()), ctx)
+            ctx.memo[tag] = node
+        items = d.items
+        for k, ex in enumerate(items, 1):
+            child = node.children.get(ex)
+            if child is None:
+                child = _child(node, ex)
+                grow(node, child, _trusted(DataSequence, items[:k]), ctx)
+                node.children[ex] = child
+            node = child
+        return answer(node, ctx)
+
+    return Learner(name, "G", fn)
+
+
+def _narrow(live: dict, ex: Example, top: int) -> dict:
+    """The windows of earlier answers once `ex` is shown.
+
+    `live` maps an extension to `(t_bad, window)`: its least shown
+    negative (None if it has none) and its members below that. With the
+    identity delay a window empties once a positive falls outside the
+    extension or reaches `t_bad` (`top` is the largest positive shown,
+    0 if none), and it stays empty: positives only grow and `t_bad` only
+    shrinks, so an empty window leaves the map for good.
+    """
+    out = {}
+    for ext, (t_bad, window) in live.items():
+        if ext.member(ex.value):
+            if not ex.label and (t_bad is None or ex.value < t_bad):
+                t_bad = ex.value
+                window = from_elements(bounded_elements(ext, t_bad - 1))
+        elif ex.label:
+            continue
+        if t_bad is None or top < t_bad:
+            out[ext] = (t_bad, window)
+    return out
+
+
 def cons_wmon_wrapper(learner: Learner) -> Learner:
     """Keep every guess alive exactly as long as the data allows it.
 
@@ -120,23 +218,23 @@ def cons_wmon_wrapper(learner: Learner) -> Learner:
     """
     h = as_full_information(learner)
 
-    def fn(d: DataSequence, ctx):
-        tag = ("cons_wmon", id(learner))
-        for k in range(len(d) + 1):
-            key = (*tag, d.items[:k])
-            if key in ctx.memo:
-                continue
-            tau = DataSequence(d.items[:k])
-            ext = union(
-                from_elements(pos(tau)), _stage_union(h.fn(tau, ctx), tau)
-            )
-            for j in range(k):
-                prev = ctx.memo[(*tag, d.items[:j])]
-                ext = union(ext, _stage_union(prev, tau))
-            ctx.memo[key] = Hypothesis(ctx.fresh_label(), ext)
-        return ctx.memo[(*tag, d.items)]
+    def grow(parent, node, tau, ctx):
+        if parent is None:
+            top, live = 0, {}
+        else:
+            top, live = parent.carry
+            ex = tau.items[-1]
+            if ex.label:
+                top = max(top, ex.value)
+            ext = parent.hyp.extension
+            live = _narrow({**live, ext: live.get(ext, (None, ext))}, ex, top)
+        ext = union(from_elements(node.pos), _stage_union(h.fn(tau, ctx), tau))
+        for _, window in live.values():
+            ext = union(ext, window)
+        node.hyp = Hypothesis(ctx.fresh_label(), ext)
+        node.carry = (top, live)
 
-    return Learner(f"{learner.name}[cons+wmon]", "G", fn)
+    return _trie_learner(f"{learner.name}[cons+wmon]", grow)
 
 
 def dual_wmon_poison(learner: Learner) -> Learner:
@@ -151,39 +249,27 @@ def dual_wmon_poison(learner: Learner) -> Learner:
     if learner.kind != "Sd":
         raise ValueError("poisoning is defined for set-driven learners")
 
-    def fn(d: DataSequence, ctx):
-        key = ("dual_wmon", id(learner), d.items)
-        if key in ctx.memo:
-            return ctx.memo[key]
-        p = pos(d)
-        poisoned = False
-        for k in range(len(d) + 1):
-            tau = DataSequence(d.items[:k])
-            if pos(tau) == p:
-                guess = learner.fn(content(tau), ctx)
-                if not all(guess.extension.member(x) for x in p):
-                    poisoned = True
-                    break
+    def grow(parent, node, tau, ctx):
+        # poisoned: some base answer since the last new positive missed one
+        guess = learner.fn(node.content, ctx).extension
+        poisoned = not all(guess.member(x) for x in node.pos) or (
+            parent is not None and len(parent.pos) == len(node.pos)
+            and parent.carry[0]
+        )
         if poisoned:
-            ext = from_elements(p)
+            ext = from_elements(node.pos)
+        elif any(guess.member(y) for y in node.neg):
+            ext = complement(from_elements(node.neg))
         else:
-            base = learner.fn(content(d), ctx)
-            if consistent(base, d):
-                ext = base.extension
-            else:
-                ext = complement(from_elements(neg(d)))
-        out = Hypothesis(ctx.fresh_label(), ext)
-        ctx.memo[key] = out
-        return out
+            ext = guess
+        node.carry = (poisoned, ext)
 
-    return Learner(f"{learner.name}[dual-poison]", "G", fn)
+    def answer(node, ctx):
+        if node.hyp is None:
+            node.hyp = Hypothesis(ctx.fresh_label(), node.carry[1])
+        return node.hyp
 
-
-def _shortest_same_content(items: tuple[Example, ...]) -> int:
-    first: dict[Example, int] = {}
-    for i, ex in enumerate(items):
-        first.setdefault(ex, i)
-    return 1 + max(first.values()) if first else 0
+    return _trie_learner(f"{learner.name}[dual-poison]", grow, answer)
 
 
 def cons_wmon_fourcase(learner: Learner) -> Learner:
@@ -198,37 +284,27 @@ def cons_wmon_fourcase(learner: Learner) -> Learner:
     """
     h = as_full_information(learner)
 
-    def fn(d: DataSequence, ctx):
-        tag = ("fourcase", id(learner))
-        for k in range(len(d) + 1):
-            key = (*tag, d.items[:k])
-            if key in ctx.memo:
-                continue
-            m = _shortest_same_content(d.items[:k])
-            red_key = (*tag, "reduced", d.items[:m])
-            if red_key not in ctx.memo:
-                red = DataSequence(d.items[:m])
-                blow = complement(from_elements(neg(red)))
-                fired = any(
-                    neg(DataSequence(d.items[:j])) == neg(red)
-                    and ctx.memo[(*tag, d.items[:j])].extension == blow
-                    for j in range(m)
-                )
-                p = pos(red)
-                base = h.fn(red, ctx)
-                if fired:
-                    ext = blow
-                elif not all(base.extension.member(x) for x in p):
-                    ext = from_elements(p)
-                elif consistent(base, red):
-                    ext = base.extension
-                else:
-                    ext = blow
-                ctx.memo[red_key] = Hypothesis(ctx.fresh_label(), ext)
-            ctx.memo[key] = ctx.memo[red_key]
-        return ctx.memo[(*tag, d.items)]
+    def grow(parent, node, tau, ctx):
+        # carry: the blow-up was conjectured since the last new negative
+        if parent is not None and len(parent.content) == len(node.content):
+            node.hyp, node.carry = parent.hyp, parent.carry
+            return
+        blow = complement(from_elements(node.neg))
+        fired = (parent is not None and len(parent.neg) == len(node.neg)
+                 and parent.carry)
+        base = h.fn(tau, ctx).extension
+        if fired:
+            ext = blow
+        elif not all(base.member(x) for x in node.pos):
+            ext = from_elements(node.pos)
+        elif any(base.member(y) for y in node.neg):
+            ext = blow
+        else:
+            ext = base
+        node.hyp = Hypothesis(ctx.fresh_label(), ext)
+        node.carry = ext == blow
 
-    return Learner(f"{learner.name}[cons+wmon*]", "G", fn)
+    return _trie_learner(f"{learner.name}[cons+wmon*]", grow)
 
 
 COMBINATORS = {

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 
-from inferlab.combinators import _shortest_same_content, _stage_union
-from inferlab.evidence import DataSequence, content, neg, pos
+from inferlab.combinators import _stage_union
+from inferlab.evidence import DataSequence, Example, content, neg, pos
 from inferlab.hypothesis import Hypothesis, consistent
 from inferlab.interaction import Learner, as_full_information
 from inferlab.upset import complement, from_elements, union
@@ -202,6 +202,13 @@ def raw_dual_poison(learner: Learner) -> Learner:
         return out
 
     return Learner(f"{learner.name}[dual-poison]", "G", fn)
+
+
+def _shortest_same_content(items: tuple[Example, ...]) -> int:
+    first: dict[Example, int] = {}
+    for i, ex in enumerate(items):
+        first.setdefault(ex, i)
+    return 1 + max(first.values()) if first else 0
 
 
 def raw_fourcase(learner: Learner) -> Learner:

@@ -1,13 +1,13 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import _shortest_same_content
 from inferlab.catalog import FAMILY_IDS, LEARNER_IDS, family_instances
 from inferlab.catalog import learner as catalog_learner
 from inferlab.combinators import (
     COMBINATORS,
-    CanonicalReduction,
     canonical_prefix,
     combinator,
     cons_wmon_fourcase,
@@ -17,7 +17,6 @@ from inferlab.combinators import (
     patched_learner,
     prefix_length,
     to_set_driven,
-    _shortest_same_content,
     _stage_union,
 )
 from inferlab.evidence import (
@@ -29,6 +28,7 @@ from inferlab.evidence import (
     neg,
     parse_sequence,
     pos,
+    prefix,
     scheduled_informant,
 )
 from inferlab.hypothesis import DelaySchedule, Hypothesis, hypothesis_for
@@ -70,8 +70,6 @@ def test_prefix_length_and_canonical_prefix():
     full = parse_sequence("2:-,0:+,1:+")
     assert prefix_length(full) == 3
     assert canonical_prefix(full) == parse_sequence("0:+,1:+,2:-")
-    red = CanonicalReduction.of(content(d))
-    assert (red.length, red.sequence) == (2, parse_sequence("0:+,1:-"))
 
 
 def test_to_set_driven_equals_base_on_canonical_informants():
@@ -241,6 +239,51 @@ def test_fourcase_demotes_wrong_positives():
     assert out.extension == from_elements({0})
 
 
+def _work(monkeypatch, wrap, base_id, informant, horizon):
+    """Base-learner calls and validated prefixes in one wrapped run."""
+    base, calls, validated = catalog_learner(base_id), 0, 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return base.fn(*args)
+
+    check = DataSequence.__post_init__
+
+    def counted_check(d):
+        nonlocal validated
+        validated += 1
+        check(d)
+
+    with monkeypatch.context() as m:
+        m.setattr(DataSequence, "__post_init__", counted_check)
+        run(wrap(Learner(base.name, base.kind, counted)), informant, horizon)
+    return calls, validated
+
+
+@pytest.mark.parametrize("wrap,base_id", [
+    (cons_wmon_wrapper, "cofinite"),
+    (cons_wmon_fourcase, "segment"),
+    (lambda lrn: dual_wmon_poison(to_set_driven(lrn)), "segment"),
+], ids=("cons_wmon", "fourcase", "dual_wmon_poison"))
+def test_wrappers_make_a_linear_number_of_base_calls(monkeypatch, wrap,
+                                                     base_id):
+    inf = scheduled_informant(parse("110|1"), seed=4, plan=[3, 3, 0, 5, 0])
+    counts = []
+    for h in (100, 200):
+        calls, validated = _work(monkeypatch, wrap, base_id, inf, h)
+        contents = 1 + len(set(prefix(inf, h).items))
+        if wrap is cons_wmon_wrapper:
+            assert calls == h + 1
+        elif wrap is cons_wmon_fourcase:
+            assert calls == contents
+        else:
+            assert calls <= h + 1
+        assert validated == 0  # every prefix is built from trusted parts
+        counts.append(calls)
+    assert counts[1] <= 2.5 * counts[0], counts
+
+
 def test_combinator_registry():
     assert set(COMBINATORS) == {
         "to_sd", "patch", "cons_wmon", "dual_wmon_poison", "cons_wmon_fourcase"
@@ -310,10 +353,13 @@ def _answers(lrn, jobs):
     return out
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.sampled_from(LEARNER_IDS),
        st.lists(st.sampled_from(tuple(_STEPS)), max_size=2),
        st.sampled_from(_WRAPPERS), _jobs)
+# a base answer misses a positive, then covers all once a new one shows
+@example("stream_mon", [], "poison",
+         [("run", Informant(parse("10|001"), (), "shuffled", 3), 24)])
 def test_wrappers_match_the_rebuilding_oracles(base_id, inner, outer, jobs):
     """The wrappers answer exactly as the per-prefix rebuilds do.
 

@@ -17,10 +17,10 @@ the missing nodes, each from its parent plus one example, so a run asks
 the base learner about once per prefix. Every node carries the running
 positives, negatives and content, and what its wrapper needs next:
 
-- `cons_wmon_wrapper`: the largest positive, and for each distinct
-  earlier answer whose window is not yet empty, that window (the least
-  shown negative inside the answer and its members below it). Only the
-  new example updates a window, and an emptied one is dropped for good.
+- `cons_wmon_wrapper`: for each distinct earlier answer whose window is
+  not yet empty, that window (the least shown negative inside the answer
+  and its members below it). Only the new example updates a window, and
+  an emptied one is dropped for good.
 - `cons_wmon_fourcase`: whether the blow-up has been conjectured since
   the last new negative. A repeated example reuses the parent's answer.
 - `dual_wmon_poison`: whether a base answer since the last new positive
@@ -188,11 +188,11 @@ def _narrow(live: dict, ex: Example, top: int) -> dict:
     """The windows of earlier answers once `ex` is shown.
 
     `live` maps an extension to `(t_bad, window)`: its least shown
-    negative (None if it has none) and its members below that. With the
-    identity delay a window empties once a positive falls outside the
-    extension or reaches `t_bad` (`top` is the largest positive shown,
-    0 if none), and it stays empty: positives only grow and `t_bad` only
-    shrinks, so an empty window leaves the map for good.
+    negative (None if it has none) and its members below that. Wrapper
+    answers carry the identity delay, so a window empties once a positive
+    falls outside the extension or reaches `t_bad` (`top` is the largest
+    positive shown, 0 if none). It stays empty, because positives only
+    grow and `t_bad` only shrinks, so it leaves the map for good.
     """
     out = {}
     for ext, (t_bad, window) in live.items():
@@ -219,20 +219,17 @@ def cons_wmon_wrapper(learner: Learner) -> Learner:
     h = as_full_information(learner)
 
     def grow(parent, node, tau, ctx):
-        if parent is None:
-            top, live = 0, {}
-        else:
-            top, live = parent.carry
-            ex = tau.items[-1]
-            if ex.label:
-                top = max(top, ex.value)
+        # carry: the windows of earlier answers, see _narrow
+        live = {}
+        if parent is not None:
             ext = parent.hyp.extension
-            live = _narrow({**live, ext: live.get(ext, (None, ext))}, ex, top)
+            live = {**parent.carry, ext: parent.carry.get(ext, (None, ext))}
+            live = _narrow(live, tau.items[-1], max(node.pos, default=0))
         ext = union(from_elements(node.pos), _stage_union(h.fn(tau, ctx), tau))
         for _, window in live.values():
             ext = union(ext, window)
         node.hyp = Hypothesis(ctx.fresh_label(), ext)
-        node.carry = (top, live)
+        node.carry = live
 
     return _trie_learner(f"{learner.name}[cons+wmon]", grow)
 

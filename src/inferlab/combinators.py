@@ -14,8 +14,10 @@ key of their own, so a run sees a stable hypothesis per evidence state.
 A node stands for one evidence state and its children are keyed by the
 next example. A call walks its evidence from the root and builds only
 the missing nodes, each from its parent plus one example, so a run asks
-the base learner about once per prefix. Every node carries the running
-positives, negatives and content, and what its wrapper needs next:
+the base learner about once per prefix. A node keeps no copy of its
+evidence, whose positives and negatives are read off the prefix while
+the node is built, so a run's trie takes memory linear in its length.
+Besides its answer, a node carries what its wrapper needs next:
 
 - `cons_wmon_wrapper`: for each distinct earlier answer whose window is
   not yet empty, that window (the least shown negative inside the answer
@@ -132,22 +134,14 @@ class _Node:
     the wrapper hands on to the next state.
     """
 
-    pos: frozenset[int]
-    neg: frozenset[int]
-    content: DataSet
-    hyp: Hypothesis | None = None
-    carry: object = None
+    hyp: Hypothesis | None
+    carry: object
     children: dict[Example, "_Node"] = field(default_factory=dict)
 
 
-def _child(parent: _Node, ex: Example) -> _Node:
-    """The state after one more example, before the wrapper fills it in."""
-    if ex in parent.content.items:
-        return _Node(parent.pos, parent.neg, parent.content)
-    dset = _trusted(DataSet, parent.content.items | {ex})
-    if ex.label:
-        return _Node(parent.pos | {ex.value}, parent.neg, dset)
-    return _Node(parent.pos, parent.neg | {ex.value}, dset)
+def _last_is_new(tau: DataSequence) -> bool:
+    """Whether the last example of a nonempty prefix appears there first."""
+    return tau.items.index(tau.items[-1]) == len(tau) - 1
 
 
 def _stored(node: _Node, ctx) -> Hypothesis:
@@ -157,26 +151,23 @@ def _stored(node: _Node, ctx) -> Hypothesis:
 def _trie_learner(name: str, grow, answer=_stored) -> Learner:
     """A G learner that answers from a prefix trie kept in `ctx.memo`.
 
-    `grow(parent, node, tau, ctx)` fills in a new node from its parent
-    (None at the root) and the prefix `tau` it stands for; `answer(node,
-    ctx)` gives the hypothesis for the evidence that ends there. Each
-    call walks the evidence from the root and grows only missing nodes.
+    `grow(parent, tau, ctx)` builds the node for the prefix `tau` from
+    the node of `tau` minus its last example (None at the root);
+    `answer(node, ctx)` gives the hypothesis for the evidence that ends
+    there. Each call walks the evidence from the root and grows only the
+    missing nodes.
     """
     tag = object()
 
     def fn(d: DataSequence, ctx):
         node = ctx.memo.get(tag)
         if node is None:
-            empty = frozenset()
-            node = _Node(empty, empty, _trusted(DataSet, empty))
-            grow(None, node, _trusted(DataSequence, ()), ctx)
-            ctx.memo[tag] = node
+            node = ctx.memo[tag] = grow(None, _trusted(DataSequence, ()), ctx)
         items = d.items
         for k, ex in enumerate(items, 1):
             child = node.children.get(ex)
             if child is None:
-                child = _child(node, ex)
-                grow(node, child, _trusted(DataSequence, items[:k]), ctx)
+                child = grow(node, _trusted(DataSequence, items[:k]), ctx)
                 node.children[ex] = child
             node = child
         return answer(node, ctx)
@@ -218,18 +209,17 @@ def cons_wmon_wrapper(learner: Learner) -> Learner:
     """
     h = as_full_information(learner)
 
-    def grow(parent, node, tau, ctx):
+    def grow(parent, tau, ctx):
         # carry: the windows of earlier answers, see _narrow
-        live = {}
+        p, live = pos(tau), {}
         if parent is not None:
             ext = parent.hyp.extension
             live = {**parent.carry, ext: parent.carry.get(ext, (None, ext))}
-            live = _narrow(live, tau.items[-1], max(node.pos, default=0))
-        ext = union(from_elements(node.pos), _stage_union(h.fn(tau, ctx), tau))
+            live = _narrow(live, tau.items[-1], max(p, default=0))
+        ext = union(from_elements(p), _stage_union(h.fn(tau, ctx), tau))
         for _, window in live.values():
             ext = union(ext, window)
-        node.hyp = Hypothesis(ctx.fresh_label(), ext)
-        node.carry = live
+        return _Node(Hypothesis(ctx.fresh_label(), ext), live)
 
     return _trie_learner(f"{learner.name}[cons+wmon]", grow)
 
@@ -246,20 +236,23 @@ def dual_wmon_poison(learner: Learner) -> Learner:
     if learner.kind != "Sd":
         raise ValueError("poisoning is defined for set-driven learners")
 
-    def grow(parent, node, tau, ctx):
-        # poisoned: some base answer since the last new positive missed one
-        guess = learner.fn(node.content, ctx).extension
-        poisoned = not all(guess.member(x) for x in node.pos) or (
-            parent is not None and len(parent.pos) == len(node.pos)
-            and parent.carry[0]
+    def grow(parent, tau, ctx):
+        # carry: whether some base answer since the last new positive
+        # missed a shown positive, and the answer's extension
+        p, n = pos(tau), neg(tau)
+        guess = learner.fn(_trusted(DataSet, frozenset(tau.items)), ctx)
+        guess = guess.extension
+        poisoned = not all(guess.member(x) for x in p) or (
+            parent is not None and parent.carry[0]
+            and not (tau.items[-1].label and _last_is_new(tau))
         )
         if poisoned:
-            ext = from_elements(node.pos)
-        elif any(guess.member(y) for y in node.neg):
-            ext = complement(from_elements(node.neg))
+            ext = from_elements(p)
+        elif any(guess.member(y) for y in n):
+            ext = complement(from_elements(n))
         else:
             ext = guess
-        node.carry = (poisoned, ext)
+        return _Node(None, (poisoned, ext))
 
     def answer(node, ctx):
         if node.hyp is None:
@@ -281,25 +274,27 @@ def cons_wmon_fourcase(learner: Learner) -> Learner:
     """
     h = as_full_information(learner)
 
-    def grow(parent, node, tau, ctx):
-        # carry: the blow-up was conjectured since the last new negative
-        if parent is not None and len(parent.content) == len(node.content):
-            node.hyp, node.carry = parent.hyp, parent.carry
-            return
-        blow = complement(from_elements(node.neg))
-        fired = (parent is not None and len(parent.neg) == len(node.neg)
-                 and parent.carry)
+    def grow(parent, tau, ctx):
+        # carry: whether the blow-up was conjectured since the last new
+        # negative
+        if parent is None:
+            fired = False
+        elif not _last_is_new(tau):
+            return _Node(parent.hyp, parent.carry)
+        else:
+            fired = parent.carry and tau.items[-1].label == 1
+        p, n = pos(tau), neg(tau)
+        blow = complement(from_elements(n))
         base = h.fn(tau, ctx).extension
         if fired:
             ext = blow
-        elif not all(base.member(x) for x in node.pos):
-            ext = from_elements(node.pos)
-        elif any(base.member(y) for y in node.neg):
+        elif not all(base.member(x) for x in p):
+            ext = from_elements(p)
+        elif any(base.member(y) for y in n):
             ext = blow
         else:
             ext = base
-        node.hyp = Hypothesis(ctx.fresh_label(), ext)
-        node.carry = ext == blow
+        return _Node(Hypothesis(ctx.fresh_label(), ext), ext == blow)
 
     return _trie_learner(f"{learner.name}[cons+wmon*]", grow)
 

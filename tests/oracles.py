@@ -212,7 +212,7 @@ def _shortest_same_content(items: tuple[Example, ...]) -> int:
 
 
 def raw_fourcase(learner: Learner) -> Learner:
-    """`cons_wmon_fourcase` by rebuilding every shortest same-content prefix."""
+    """`cons_wmon_fourcase` by rebuilding each shortest same-content prefix."""
     h = as_full_information(learner)
 
     def fn(d: DataSequence, ctx):

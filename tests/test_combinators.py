@@ -357,9 +357,22 @@ def _answers(lrn, jobs):
 @given(st.sampled_from(LEARNER_IDS),
        st.lists(st.sampled_from(tuple(_STEPS)), max_size=2),
        st.sampled_from(_WRAPPERS), _jobs)
+# an earlier answer's window outlives the base answer that replaced it
+@example("n_or_fin", [], "cons_wmon",
+         [("run", Informant(parse("1111|0"), tuple(
+             Example(v, int(v < 4)) for v in (2, 5, 8, 5, 1)), "shuffled", 16),
+           20)])
 # a base answer misses a positive, then covers all once a new one shows
 @example("stream_mon", [], "poison",
          [("run", Informant(parse("10|001"), (), "shuffled", 3), 24)])
+# poisoned, then covered after a new negative, then a positive repeats
+@example("even_dualmon", [], "poison",
+         [("run", Informant(parse("100011|0"), tuple(
+             Example(v, int(v in (0, 4, 5))) for v in (9, 2, 3, 5, 2, 4, 5))),
+           20)])
+# blown up, then a new positive while the base answers otherwise
+@example("even_dualmon", [], "fourcase",
+         [("run", canonical_informant(parse("01|0")), 24)])
 def test_wrappers_match_the_rebuilding_oracles(base_id, inner, outer, jobs):
     """The wrappers answer exactly as the per-prefix rebuilds do.
 

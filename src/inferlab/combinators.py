@@ -240,8 +240,8 @@ def dual_wmon_poison(learner: Learner) -> Learner:
         # carry: whether some base answer since the last new positive
         # missed a shown positive, and the answer's extension
         p, n = pos(tau), neg(tau)
-        guess = learner.fn(_trusted(DataSet, frozenset(tau.items)), ctx)
-        guess = guess.extension
+        dset = _trusted(DataSet, frozenset(tau.items))
+        guess = learner.fn(dset, ctx).extension
         poisoned = not all(guess.member(x) for x in p) or (
             parent is not None and parent.carry[0]
             and not (tau.items[-1].label and _last_is_new(tau))

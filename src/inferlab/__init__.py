@@ -44,7 +44,6 @@ from .hypothesis import (
     Hypothesis,
     consistent,
     hypothesis_for,
-    sem_equiv,
 )
 from .interaction import (
     EvalContext,

@@ -123,17 +123,6 @@ def content(d) -> DataSet:
     return DataSet(frozenset(_examples(d)))
 
 
-_PROJECTIONS = {"pos": pos, "neg": neg, "outline": outline, "content": content}
-
-
-def project(kind: str, d):
-    try:
-        fn = _PROJECTIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown projection {kind!r}") from None
-    return fn(d)
-
-
 def parse_sequence(text: str) -> DataSequence:
     """Parse '0:+,1:-,3:+' notation; empty text is the empty sequence."""
     text = text.strip()
@@ -270,20 +259,3 @@ def prefixes(
         if ex not in dset.items:
             dset = _trusted(DataSet, dset.items | {ex})
         yield d, dset
-
-
-def validate_prefix_for(d, target: UPSet) -> bool:
-    """True iff every shown label agrees with the target."""
-    return all(target.member(ex.value) == bool(ex.label) for ex in _examples(d))
-
-
-def coverage_index(informant: Informant, value: int) -> int:
-    """An index by which the value has certainly been shown."""
-    head_values = {ex.value for ex in informant.head}
-    if value in head_values:
-        return len(informant.head)
-    if informant.order == "shuffled":
-        return len(informant.head) + (value // _BLOCK + 1) * _BLOCK
-    if informant.order == "fresh":
-        return len(informant.head) + value + 1
-    return len(informant.head) + value + 1

@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import json
 import os
+import typing
 from dataclasses import dataclass
 
 from . import __version__
@@ -544,85 +545,50 @@ def exit_code(report: Report, expect: str = "satisfied") -> int:
 # ---------------------------------------------------------------------------
 # serialization; the machine format is the JSON image of these dicts
 
+def _to_json(obj) -> dict:
+    """A report dataclass as an object: tuples become lists, `params` an
+    object, and nested dataclasses objects in turn."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.name == "params":
+            value = dict(value)
+        elif isinstance(value, tuple):
+            value = [_to_json(v) if dataclasses.is_dataclass(v) else v
+                     for v in value]
+        elif dataclasses.is_dataclass(value):
+            value = _to_json(value)
+        out[f.name] = value
+    return out
+
+
+def _from_json(hint, value):
+    """The value of the annotated type whose `_to_json` image is `value`.
+
+    A malformed image raises KeyError, TypeError or AttributeError.
+    """
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        return hint(**{
+            f.name: tuple(sorted(value[f.name].items())) if f.name == "params"
+            else _from_json(hints[f.name], value[f.name])
+            for f in dataclasses.fields(hint)})
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return None if value is None else _from_json(args[0], value)
+    if typing.get_origin(hint) is tuple:
+        return tuple(_from_json(args[0], v) for v in value)
+    return value
+
+
 def report_to_dict(report: Report) -> dict:
-    return {
-        "pipeline": list(report.pipeline),
-        "horizon": report.horizon,
-        "rows": [{
-            "language": r.language,
-            "informant": r.informant,
-            "restriction": r.restriction,
-            "satisfied": r.satisfied,
-            "indices": list(r.indices),
-            "element": r.element,
-            "extensions": list(r.extensions),
-            "detail": r.detail,
-            "scope": r.scope,
-            "verified": r.verified,
-        } for r in report.rows],
-        "adversaries": [{
-            "adversary": a.adversary,
-            "opponent": a.opponent,
-            "kind": a.kind,
-            "target": a.target,
-            "restriction": a.restriction,
-            "indices": list(a.indices),
-            "element": a.element,
-            "params": {k: v for k, v in a.params},
-            "rounds": a.rounds,
-            "split": list(a.split) if a.split is not None else None,
-            "note": a.note,
-            "verified": a.verified,
-        } for a in report.adversaries],
-        "fingerprint": {
-            "version": report.fingerprint.version,
-            "seed": report.fingerprint.seed,
-            "schedule_seeds": list(report.fingerprint.schedule_seeds),
-            "seed_override": report.fingerprint.seed_override,
-        },
-    }
+    return _to_json(report)
 
 
 def report_from_dict(data: dict) -> Report:
     try:
-        fp = data["fingerprint"]
-        return Report(
-            pipeline=tuple(data["pipeline"]),
-            horizon=data["horizon"],
-            rows=tuple(CheckRow(
-                language=r["language"],
-                informant=r["informant"],
-                restriction=r["restriction"],
-                satisfied=r["satisfied"],
-                indices=tuple(r["indices"]),
-                element=r["element"],
-                extensions=tuple(r["extensions"]),
-                detail=r["detail"],
-                scope=r["scope"],
-                verified=r["verified"],
-            ) for r in data["rows"]),
-            adversaries=tuple(AdversaryRow(
-                adversary=a["adversary"],
-                opponent=a["opponent"],
-                kind=a["kind"],
-                target=a["target"],
-                restriction=a["restriction"],
-                indices=tuple(a["indices"]),
-                element=a["element"],
-                params=tuple(sorted(a["params"].items())),
-                rounds=a["rounds"],
-                split=tuple(a["split"]) if a["split"] is not None else None,
-                note=a["note"],
-                verified=a["verified"],
-            ) for a in data["adversaries"]),
-            fingerprint=Fingerprint(
-                version=fp["version"],
-                seed=fp["seed"],
-                schedule_seeds=tuple(fp["schedule_seeds"]),
-                seed_override=fp["seed_override"],
-            ),
-        )
-    except (KeyError, TypeError) as exc:
+        return _from_json(Report, data)
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"not a report document: {exc}") from None
 
 

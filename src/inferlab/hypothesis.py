@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import evidence
-from .upset import UPSet, parse
+from .upset import UPSet
 
 
 @dataclass(frozen=True)
@@ -102,15 +102,6 @@ def consistent(e, d) -> bool:
     )
 
 
-def sem_equiv(a: Hypothesis, b: Hypothesis) -> bool:
-    """Same denotation, labels and delays notwithstanding."""
-    return a.extension == b.extension
-
-
-def with_delay(h: Hypothesis, delay: DelaySchedule) -> Hypothesis:
-    return Hypothesis(h.label, h.extension, delay)
-
-
 _DIGITS = {"0": 1, "1": 2, "|": 3}
 
 
@@ -131,28 +122,3 @@ def format_hypothesis(h: Hypothesis) -> str:
     if h.delay.overrides:
         text += ";" + ",".join(f"{x}->{t}" for x, t in h.delay.overrides)
     return text
-
-
-def parse_hypothesis(text: str) -> Hypothesis:
-    fields = {}
-    for token in text.split():
-        key, _, value = token.partition("=")
-        if not value or key in fields:
-            raise ValueError(f"malformed hypothesis text {text!r}")
-        fields[key] = value
-    try:
-        label = int(fields["label"])
-        ext = parse(fields["ext"])
-        delay_text = fields["delay"]
-    except KeyError as missing:
-        raise ValueError(f"hypothesis text lacks {missing}") from None
-    affine, _, tail = delay_text.partition(";")
-    mult_text, _, add_text = affine.partition(",")
-    overrides = []
-    if tail:
-        for chunk in tail.replace("→", "->").split(","):
-            x_text, _, t_text = chunk.partition("->")
-            overrides.append((int(x_text), int(t_text)))
-    return Hypothesis(
-        label, ext, DelaySchedule(tuple(overrides), int(mult_text), int(add_text))
-    )

@@ -14,11 +14,10 @@ hypothesis stream is total from step 0 in every mode.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .evidence import DataSequence, Informant, content, prefixes
+from .evidence import Informant, content, prefixes
 from .hypothesis import Hypothesis, hypothesis_for
 from .upset import EMPTY
 
@@ -146,45 +145,3 @@ def with_fresh_labels(learner: Learner) -> Learner:
     else:
         fn = lambda d, ctx: relabel(learner.fn(d, ctx), ctx)
     return Learner(f"{learner.name}[fresh]", learner.kind, fn)
-
-
-@dataclass(frozen=True)
-class OrderProbe:
-    insensitive: bool
-    mode: str  # "sd": content only may matter; "psd": content and length
-    trials: int
-    witness: tuple[DataSequence, DataSequence] | None = None
-
-
-def order_insensitivity_probe(
-    learner: Learner,
-    base: DataSequence,
-    mode: str = "sd",
-    trials: int = 8,
-    seed: int = 0,
-    ctx: EvalContext | None = None,
-) -> OrderProbe:
-    """Empirically confirm the learner ignores presentation order.
-
-    Rearranges the base evidence (and, for the sd mode, also pads it with
-    repeated examples) and compares outputs verbatim. A sampled probe: it
-    can expose sensitivity but never certify insensitivity.
-    """
-    if mode not in ("sd", "psd"):
-        raise ValueError(f"unknown probe mode {mode!r}")
-    if ctx is None:
-        ctx = EvalContext()
-    g = as_full_information(learner)
-    reference = g.fn(base, ctx)
-    rng = random.Random(seed)
-    checked = 0
-    for _ in range(trials):
-        items = list(base.items)
-        rng.shuffle(items)
-        if mode == "sd" and items:
-            items += rng.choices(items, k=rng.randrange(3))
-        variant = DataSequence(tuple(items))
-        checked += 1
-        if g.fn(variant, ctx) != reference:
-            return OrderProbe(False, mode, checked, (base, variant))
-    return OrderProbe(True, mode, checked)

@@ -38,8 +38,12 @@ fewer pairs:
   in one test, but its period is the lcm of all periods seen, which
   grows without bound.)
 
-Each pair condition is defined once (`_pair_bad`, `_caut_bad`), and both
-the scans and `evaluate_site` use it.
+Every restriction is defined once, single-index ones included: the pair
+conditions by `_pair_bad` and `_caut_bad` (behind the weakly monotone
+gate), and cons, caut_tar, bc and ex by one site function each, which
+gives the witnesses of a violation at the given indices. `check` returns
+the first site in its scan order, and `evaluate_site` applies the same
+function at a stored site.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .evidence import Informant, content, prefix
-from .interaction import EvalContext, HypSequence, Learner, run
+from .evidence import Informant
+from .interaction import HypSequence
 from .upset import (
     EMPTY,
     Relation,
@@ -175,17 +179,85 @@ _PAIR_DETAIL = {
 }
 
 
+# The witnesses of a site that names no element: None alone.
+_NO_ELEMENT = (None,)
+
+
+def _cons_bad(seq: HypSequence, indices):
+    """Values of the data shown before n that extension n contradicts.
+
+    The site is (n,). The values come in the order shown and are read
+    lazily, so the informant is walked only where extension n contradicts
+    a datum shown before n, and only up to the value asked for.
+    """
+    if len(indices) != 1:
+        return
+    (n,) = indices
+    w, informant = seq[n].extension, seq.informant
+    fc = _first_conflict(w, informant, len(seq) - 1)
+    if fc is None:
+        return
+    for i in range(fc, n):
+        ex = informant.example_at(i)
+        if w.member(ex.value) != bool(ex.label):
+            yield ex.value
+
+
+def _caut_tar_bad(seq: HypSequence, indices) -> UPSet:
+    """Elements by which extension t strictly covers the target; site (t,)."""
+    if len(indices) != 1:
+        return EMPTY
+    w, target = seq[indices[0]].extension, seq.informant.target
+    if relate(w, target) is not Relation.PROPER_SUPERSET:
+        return EMPTY
+    return difference(w, target)
+
+
+def _misclassified(w: UPSet, target: UPSet) -> UPSet:
+    if w == target:
+        return EMPTY
+    return union(difference(w, target), difference(target, w))
+
+
+def _bc_bad(seq: HypSequence, indices) -> UPSet:
+    """Elements the extension at the horizon misclassifies; site (horizon,)."""
+    if indices != (len(seq) - 1,):
+        return EMPTY
+    return _misclassified(seq.final.extension, seq.informant.target)
+
+
+def _ex_bad(seq: HypSequence, indices):
+    """Witnesses that ex fails at the indices, for a horizon h.
+
+    A run of length one, site (0,), and a label that changes at the
+    horizon, site (h-1, h), cannot show settling; they name no element.
+    Otherwise the final label must hold from some index before h on, and a
+    site (n,) at or after that index is witnessed by the elements
+    extension n misclassifies.
+    """
+    h = len(seq) - 1
+    if h == 0:
+        return _NO_ELEMENT if indices == (0,) else EMPTY
+    if indices == (h - 1, h):
+        return _NO_ELEMENT if seq[h - 1].label != seq[h].label else EMPTY
+    if len(indices) != 1:
+        return EMPTY
+    (n,) = indices
+    # the cheap test first: check_ex asks every index after the settling one
+    bad = _misclassified(seq[n].extension, seq.informant.target)
+    if bad == EMPTY or all(x.label == seq.final.label
+                           for x in seq.items[min(n, h - 1):]):
+        return bad
+    return EMPTY
+
+
 def check_cons(seq: HypSequence) -> Verdict:
-    informant = seq.informant
-    horizon = len(seq) - 1
-    for n, h in enumerate(seq.items):
-        fc = _first_conflict(h.extension, informant, horizon)
-        if fc is not None and fc < n:
-            ex = informant.example_at(fc)
+    for n in range(len(seq)):
+        for x in _cons_bad(seq, (n,)):
+            sign = "+" if seq.informant.target.member(x) else "-"
             return Verdict(
-                "cons", False, (n,), ex.value,
-                f"hypothesis at {n} contradicts the datum "
-                f"{ex.value}:{'+' if ex.label else '-'}",
+                "cons", False, (n,), x,
+                f"hypothesis at {n} contradicts the datum {x}:{sign}",
             )
     return Verdict("cons", True)
 
@@ -282,11 +354,11 @@ def _caut_site(variant: str, seq: HypSequence):
 def check_cautious(variant: str, seq: HypSequence) -> Verdict:
     if variant not in _CAUTIOUS:
         raise ValueError(f"not a caution variant: {variant!r}")
-    target = seq.informant.target
     if variant == "caut_tar":
-        for t, h in enumerate(seq.items):
-            if relate(h.extension, target) is Relation.PROPER_SUPERSET:
-                x = min_element(difference(h.extension, target))
+        for t in range(len(seq)):
+            bad = _caut_tar_bad(seq, (t,))
+            if bad != EMPTY:
+                x = min_element(bad)
                 return Verdict(
                     "caut_tar", False, (t,), x,
                     f"extension at {t} strictly covers the target ({x} extra)",
@@ -307,17 +379,17 @@ def check_cautious(variant: str, seq: HypSequence) -> Verdict:
 
 
 def check_bc(seq: HypSequence) -> Verdict:
-    target = seq.informant.target
-    wrong = [n for n, h in enumerate(seq.items) if h.extension != target]
-    if wrong and wrong[-1] == len(seq) - 1:
-        n = wrong[-1]
-        w = seq[n].extension
-        x = min_element(union(difference(w, target), difference(target, w)))
+    h = len(seq) - 1
+    bad = _bc_bad(seq, (h,))
+    if bad != EMPTY:
+        x = min_element(bad)
         return Verdict(
-            "bc", False, (n,), x,
+            "bc", False, (h,), x,
             f"extension still wrong at the horizon ({x} misclassified)",
         )
-    start = wrong[-1] + 1 if wrong else 0
+    target = seq.informant.target
+    start = next((n + 1 for n in range(h, -1, -1)
+                  if seq[n].extension != target), 0)
     return Verdict("bc", True, detail=f"correct from {start}")
 
 
@@ -328,25 +400,20 @@ def check_ex(seq: HypSequence) -> Verdict:
     its last label for at least two indices. Semantic convergence has no
     such grace: see check_bc, which accepts a single correct final index.
     """
-    target = seq.informant.target
-    labels = [h.label for h in seq.items]
-    changes = [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]]
-    settled = changes[-1] if changes else 0
-    if len(seq) - settled < 2:
-        if changes:
+    h = len(seq) - 1
+    settled = next((t for t in range(h, 0, -1)
+                    if seq[t].label != seq[t - 1].label), 0)
+    sites = [(h - 1, h) if h else (0,)] + [(n,) for n in range(settled, h + 1)]
+    for indices in sites:
+        bad = _ex_bad(seq, indices)
+        if bad is _NO_ELEMENT:
+            return Verdict("ex", False, indices, None,
+                           "label still changing at the horizon" if h
+                           else "horizon too short to observe settling")
+        if bad != EMPTY:
+            x = min_element(bad)
             return Verdict(
-                "ex", False, (settled - 1, settled), None,
-                "label still changing at the horizon",
-            )
-        return Verdict(
-            "ex", False, (0,), None, "horizon too short to observe settling"
-        )
-    for n in range(settled, len(seq)):
-        w = seq[n].extension
-        if w != target:
-            x = min_element(union(difference(w, target), difference(target, w)))
-            return Verdict(
-                "ex", False, (n,), x,
+                "ex", False, indices, x,
                 f"settled label names the wrong set ({x} misclassified)",
             )
     return Verdict("ex", True, detail=f"settled at {settled}")
@@ -370,6 +437,10 @@ def check_all(seq: HypSequence) -> dict[str, Verdict]:
     return {rid: check(rid, seq) for rid in RESTRICTION_IDS}
 
 
+_SITES = {"cons": _cons_bad, "caut_tar": _caut_tar_bad, "bc": _bc_bad,
+          "ex": _ex_bad}
+
+
 def evaluate_site(
     restriction: str, seq: HypSequence, indices: tuple[int, ...], element
 ) -> bool:
@@ -382,69 +453,21 @@ def evaluate_site(
         raise ValueError(f"unknown restriction {restriction!r}")
     if not all(0 <= i < len(seq) for i in indices):
         return False
-    target = seq.informant.target
-    horizon = len(seq) - 1
-    if restriction == "cons":
-        if len(indices) != 1 or element is None:
-            return False
-        (n,) = indices
-        w = seq[n].extension
-        return any(
-            ex.value == element and w.member(ex.value) != bool(ex.label)
-            for ex in prefix(seq.informant, n)
-        )
-    if restriction in _MONOTONE:
-        if len(indices) != 2 or element is None:
-            return False
+    if restriction in _SITES:
+        bad = _SITES[restriction](seq, indices)
+    elif len(indices) == 2 and indices[0] < indices[1]:
         s, t = indices
-        if not s < t:
-            return False
         wa, wb = seq[s].extension, seq[t].extension
-        if restriction.startswith("wmon") and not _consistent_at(
-            wa, seq.informant, t, horizon
-        ):
-            return False
-        return _pair_bad(restriction, wa, wb, target).member(element)
-    if restriction == "caut_tar":
-        if len(indices) != 1 or element is None:
-            return False
-        (t,) = indices
-        w = seq[t].extension
-        return (
-            relate(w, target) is Relation.PROPER_SUPERSET
-            and difference(w, target).member(element)
-        )
-    if restriction in _CAUTIOUS:
-        if len(indices) != 2 or element is None:
-            return False
-        s, t = indices
-        if not s < t:
-            return False
-        return _caut_bad(
-            restriction, seq[s].extension, seq[t].extension
-        ).member(element)
-    if restriction == "bc":
-        if len(indices) != 1 or element is None:
-            return False
-        (n,) = indices
-        if n != horizon:
-            return False
-        w = seq[n].extension
-        return w.member(element) != target.member(element)
-    # ex: either a label change at the horizon or a settled wrong extension
-    if len(indices) == 2:
-        s, t = indices
-        return t == s + 1 and t == horizon and seq[s].label != seq[t].label
-    if len(indices) == 1 and element is not None:
-        (n,) = indices
-        w = seq[n].extension
-        return (
-            seq[n].label == seq.final.label
-            and w.member(element) != target.member(element)
-        )
-    if len(indices) == 1 and horizon == 0:
-        return True  # nothing to settle against
-    return False
+        if restriction in _CAUTIOUS:
+            bad = _caut_bad(restriction, wa, wb)
+        elif restriction.startswith("wmon") and not _consistent_at(
+                wa, seq.informant, t, len(seq) - 1):
+            bad = EMPTY
+        else:
+            bad = _pair_bad(restriction, wa, wb, seq.informant.target)
+    else:
+        return False
+    return bad is _NO_ELEMENT if element is None else element in bad
 
 
 def revalidate(verdict: Verdict, seq: HypSequence) -> bool:
@@ -452,62 +475,6 @@ def revalidate(verdict: Verdict, seq: HypSequence) -> bool:
     if verdict.satisfied:
         return check(verdict.restriction, seq).satisfied
     return evaluate_site(verdict.restriction, seq, verdict.indices, verdict.element)
-
-
-@dataclass(frozen=True)
-class DelayabilityReport:
-    restriction: str
-    premise: Verdict
-    conclusion: Verdict
-
-    @property
-    def implication_holds(self) -> bool:
-        return (not self.premise.satisfied) or self.conclusion.satisfied
-
-
-def probe_delayability(
-    restriction: str,
-    learner: Learner,
-    informant: Informant,
-    steps,
-    informant2: Informant | None = None,
-    ctx: EvalContext | None = None,
-) -> DelayabilityReport:
-    """Replay a run through a step slowdown and re-check the restriction.
-
-    The slowed run emits, against the second informant, at step n the
-    hypothesis the original run emitted at step steps[n]. That is only a
-    fair comparison when the second informant has already shown everything
-    the original had seen by then, so the preconditions are enforced hard.
-    """
-    if informant2 is None:
-        informant2 = informant
-    if informant.target != informant2.target:
-        raise ProbeError("slowdown probes need informants for the same target")
-    steps = tuple(steps)
-    if not steps:
-        raise ProbeError("need at least one step")
-    if any(s < 0 for s in steps) or any(
-        a > b for a, b in zip(steps, steps[1:])
-    ):
-        raise ProbeError("steps must be nondecreasing naturals")
-    for n, s_n in enumerate(steps):
-        shown = content(prefix(informant, s_n)).items
-        if not shown <= content(prefix(informant2, n)).items:
-            raise ProbeError(
-                f"step {n} replays data the second informant has not shown"
-            )
-    if ctx is None:
-        ctx = EvalContext()
-    base = run(learner, informant, max(steps), ctx)
-    delayed = HypSequence(
-        tuple(base.items[s] for s in steps),
-        f"{learner.name}[slowed]",
-        informant2,
-    )
-    return DelayabilityReport(
-        restriction, check(restriction, base), check(restriction, delayed)
-    )
 
 
 def probe_semantic(a: HypSequence, b: HypSequence) -> bool:

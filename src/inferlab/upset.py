@@ -111,21 +111,12 @@ EMPTY = UPSet("", "0")
 NATURALS = UPSet("", "1")
 
 
-def normalize(prefix: str, period: str) -> UPSet:
-    """Canonical form of a raw prefix/period description."""
-    return UPSet(prefix, period)
-
-
 def parse(text: str) -> UPSet:
     """Parse the P|Q notation, e.g. '|10' (evens) or '10|1' (all but 1)."""
     if text.count("|") != 1:
         raise ValueError(f"expected exactly one '|' in {text!r}")
     prefix, period = text.split("|")
     return UPSet(prefix, period)
-
-
-def member(u: UPSet, x: int) -> bool:
-    return u.member(x)
 
 
 def bounded_elements(u: UPSet, bound: int) -> tuple[int, ...]:

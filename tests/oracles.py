@@ -132,6 +132,105 @@ def raw_first_site(variant: str, exts, target, conflicts):
     return True, (), None
 
 
+def raw_site(rid: str, exts, labels, target, data, indices, element) -> bool:
+    """Is (indices, element) a violation site of the restriction?
+
+    `exts` holds one raw (prefix, period) extension per index and `labels`
+    one label, `target` is a raw (prefix, period) pair, and `data` holds
+    the informant's first h examples, where h = len(exts) - 1 is the
+    horizon. Each restriction is decided by its definition, element by
+    element:
+
+    - cons: (n, x) when a datum with value x shown before n contradicts
+      extension n.
+    - caut_tar: (t, x) when extension t strictly covers the target and x
+      lies in the difference.
+    - bc: (h, x) when x lies in the symmetric difference of extension h
+      and the target.
+    - ex: (h-1, h) with no element when the label changes at h, or (0,)
+      with no element when h == 0. Otherwise (n, x), where the final label
+      holds from some settled < h on, n >= settled, and extension n
+      misclassifies x.
+    - the pair variants: (s, t, x) when s < t and x witnesses the pair by
+      `_pair_witness`; a weakly monotone pair counts only while extension
+      s is consistent with the data shown before t, and a caution pair
+      only when extension t is a proper subset of extension s that meets
+      the variant's finiteness condition.
+    """
+    h = len(exts) - 1
+    if not all(0 <= i <= h for i in indices):
+        return False
+    if rid == "ex" and (h == 0 or labels[h] != labels[h - 1]):
+        return element is None and indices == ((h - 1, h) if h else (0,))
+    if element is None:
+        return False
+    tp, tq = target
+    if len(indices) == 1:
+        (n,) = indices
+        p, q = exts[n]
+        wrong = raw_member(p, q, element) != raw_member(tp, tq, element)
+        if rid == "cons":
+            return any(ex.value == element
+                       and raw_member(p, q, ex.value) != bool(ex.label)
+                       for ex in data[:n])
+        if rid == "caut_tar":
+            xs = range(max(len(p), len(tp)) + math.lcm(len(q), len(tq)))
+            return (all(raw_member(p, q, x) for x in xs
+                        if raw_member(tp, tq, x))
+                    and any(not raw_member(tp, tq, x) for x in xs
+                            if raw_member(p, q, x))
+                    and raw_member(p, q, element) and wrong)
+        if rid == "bc":
+            return n == h and wrong
+        if rid == "ex":
+            settled = [s for s in range(h) if len(set(labels[s:])) == 1]
+            return wrong and any(s <= n for s in settled)
+        return False
+    if (rid in ("cons", "caut_tar", "bc", "ex") or len(indices) != 2
+            or indices[0] >= indices[1]):
+        return False
+    s, t = indices
+    (ap, aq), (bp, bq) = exts[s], exts[t]
+    if rid.startswith("wmon") and any(
+            raw_member(ap, aq, ex.value) != bool(ex.label) for ex in data[:t]):
+        return False
+    if rid.startswith("caut"):
+        xs = range(max(len(ap), len(bp)) + math.lcm(len(aq), len(bq)))
+        finite = "1" not in bq
+        if (any(raw_member(bp, bq, x) and not raw_member(ap, aq, x)
+                for x in xs)
+                or (rid == "caut_fin" and not finite)
+                or (rid == "caut_inf" and finite)):
+            return False
+    return _pair_witness(rid, raw_member(ap, aq, element),
+                         raw_member(bp, bq, element),
+                         raw_member(tp, tq, element))
+
+
+def raw_first_single_site(rid: str, exts, labels, target, data):
+    """The site `check` reports for cons, caut_tar, bc or ex, by brute force.
+
+    Arguments as for `raw_site`. Indices are tried in increasing order,
+    each first without an element, then with cons's data in the order
+    shown or with every element up to a bound past which the extension
+    and the target only repeat. Returns (satisfied, indices, element).
+    """
+    h = len(exts) - 1
+    tp, tq = target
+    for indices in [(h - 1, h)] + [(n,) for n in range(h + 1)]:
+        if raw_site(rid, exts, labels, target, data, indices, None):
+            return False, indices, None
+        if len(indices) == 2:
+            continue
+        p, q = exts[indices[0]]
+        xs = ([ex.value for ex in data[:indices[0]]] if rid == "cons"
+              else range(max(len(p), len(tp)) + math.lcm(len(q), len(tq))))
+        for x in xs:
+            if raw_site(rid, exts, labels, target, data, indices, x):
+                return False, indices, x
+    return True, (), None
+
+
 def raw_canonical(prefix: str, period: str) -> tuple[str, str]:
     """Canonical (prefix, period) by shrinking one step at a time.
 

@@ -1,0 +1,41 @@
+"""Every library name the benchmark's tracer hooks into still exists.
+
+`benchmark/tracing.py` looks its hooks up with `getattr` when a traced
+pass starts, so a renamed or deleted function breaks only that pass,
+which this suite does not run. These tests read the tracer's own tables.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from inferlab import restrictions
+
+TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# looked up by name in Tracer.install itself, outside the two tables
+_INSTALLED = (("restrictions", "check"), ("interaction", "run"),
+              ("catalog", "learner"), ("combinators", "combinator"))
+
+
+def test_every_traced_name_resolves():
+    tracing = _tracing()
+    for mod, name, *_bucket in (*tracing._LEAVES, *tracing._SPANS,
+                                *_INSTALLED):
+        module = importlib.import_module(f"inferlab.{mod}")
+        assert callable(getattr(module, name, None)), (mod, name)
+
+
+def test_traced_caches_report_their_counts():
+    upset = importlib.import_module("inferlab.upset")
+    for name in _tracing().CACHED_UPSET:
+        assert getattr(upset, name).cache_info() is not None, name
+    assert restrictions._first_conflict.cache_info() is not None

@@ -14,6 +14,7 @@ from inferlab.harness import (
     exit_code,
     parse_report,
     render_report,
+    report_to_dict,
     run_experiment,
     validate_config,
     witness_found,
@@ -197,6 +198,47 @@ def test_machine_report_round_trips_and_is_stable():
         parse_report("{}")
     with pytest.raises(ValueError, match="render mode"):
         render_report(a, "pdf")
+
+
+# Fields a report stores as tuples, and the substitutes each mutation tries.
+_ARRAYS = ("pipeline", "indices", "extensions", "split", "schedule_seeds")
+_SUBSTITUTES = (7, "x", [0], {"k": 0}, None)
+
+
+def _must_reject(key, value) -> bool:
+    """Mutations no reader of the format has accepted."""
+    if key in ("rows", "adversaries", "fingerprint"):
+        return True  # no substitute is a list of rows or a fingerprint
+    if key == "params":
+        return not isinstance(value, dict)
+    if key in _ARRAYS:
+        return isinstance(value, int) or (value is None and key != "split")
+    return False
+
+
+def test_parse_report_refuses_mutated_documents_with_value_error():
+    report = run_experiment(validate_config(_config(
+        schedules=[{"order": "shuffled", "seed": 7}],
+        adversaries=[{"id": "caut_tar"}])))
+    doc = report_to_dict(report)
+    assert report.rows and doc["adversaries"][0]["params"]
+    parts = (doc, doc["rows"][0], doc["adversaries"][0], doc["fingerprint"])
+    for part in parts:
+        for key in list(part):
+            value = part.pop(key)
+            with pytest.raises(ValueError, match="not a report document"):
+                parse_report(json.dumps(doc))
+            for bad in _SUBSTITUTES:
+                part[key] = bad
+                try:
+                    parsed = parse_report(json.dumps(doc))
+                except ValueError:
+                    parsed = None
+                assert parsed is None or isinstance(parsed, Report), key
+                if _must_reject(key, bad):
+                    assert parsed is None, (key, bad)
+            part[key] = value
+    assert parse_report(json.dumps(doc)) == report
 
 
 def test_empty_report_renders_header_and_zero_rows():

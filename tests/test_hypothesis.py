@@ -9,13 +9,9 @@ from inferlab.hypothesis import (
     consistent,
     extension_label,
     format_hypothesis,
-    hypothesis_for,
-    parse_hypothesis,
-    sem_equiv,
     stage_enumerate,
-    with_delay,
 )
-from inferlab.upset import EMPTY, NATURALS, parse
+from inferlab.upset import EMPTY, parse
 
 
 def test_default_delay_is_identity():
@@ -95,21 +91,6 @@ def test_consistent_against_upset_and_hypothesis_and_set():
         consistent("evens", d)
 
 
-def test_sem_equiv_ignores_label_and_delay():
-    a = Hypothesis(2, parse("|10"))
-    b = Hypothesis(40, parse("10|10"), DelaySchedule(add=5))
-    assert parse("|10") == parse("10|10")
-    assert sem_equiv(a, b)
-    assert not sem_equiv(a, Hypothesis(2, NATURALS))
-
-
-def test_with_delay_preserves_label_and_extension():
-    h = hypothesis_for(parse("|10"))
-    g = with_delay(h, DelaySchedule(mult=3))
-    assert g.label == h.label and g.extension == h.extension
-    assert g.delay.of(2) == 6
-
-
 def test_extension_label_is_even_and_injective_on_samples():
     descriptions = ["|0", "|1", "|10", "|01", "1|0", "0|1", "110|01"]
     labels = [extension_label(parse(t)) for t in descriptions]
@@ -123,22 +104,5 @@ def test_format_parse_round_trip():
     h = Hypothesis(26, parse("|10"), DelaySchedule(((2, 9),), mult=2, add=1))
     text = format_hypothesis(h)
     assert text == "label=26 ext=|10 delay=2,1;2->9"
-    assert parse_hypothesis(text) == h
     assert str(h) == text
 
-
-def test_parse_accepts_unicode_arrow():
-    assert parse_hypothesis("label=0 ext=|1 delay=1,0;3→5") == Hypothesis(
-        0, NATURALS, DelaySchedule(((3, 5),))
-    )
-
-
-def test_parse_rejects_malformed():
-    for bad in (
-        "label=1 ext=|1",
-        "label=x ext=|1 delay=1,0",
-        "label=1 label=2 ext=|1 delay=1,0",
-        "label=1 ext=|1 delay",
-    ):
-        with pytest.raises(ValueError):
-            parse_hypothesis(bad)

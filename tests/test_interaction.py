@@ -3,7 +3,6 @@ import pytest
 from inferlab.catalog import learner
 from inferlab.combinators import cons_wmon_wrapper
 from inferlab.evidence import (
-    DataSequence,
     Example,
     Informant,
     canonical_informant,
@@ -18,9 +17,7 @@ from inferlab.interaction import (
     EvalContext,
     HypSequence,
     Learner,
-    OrderProbe,
     as_full_information,
-    order_insensitivity_probe,
     run,
     with_fresh_labels,
 )
@@ -111,39 +108,6 @@ def test_as_full_information_agrees_with_native_run():
     assert as_full_information(FIN_POS).name == "positives[G]"
     g = Learner("id", "G", lambda d, ctx: INITIAL_HYPOTHESIS)
     assert as_full_information(g) is g
-
-
-def test_order_probe_passes_for_set_driven_behavior():
-    base = DataSequence((Example(3, 1), Example(1, 0), Example(0, 1)))
-    probe = order_insensitivity_probe(FIN_POS, base, mode="sd", trials=10, seed=2)
-    assert probe == OrderProbe(True, "sd", 10)
-
-
-def test_order_probe_detects_length_sensitivity():
-    base = DataSequence((Example(3, 1), Example(1, 0), Example(0, 1)))
-    sd_probe = order_insensitivity_probe(
-        LENGTH_AWARE, base, mode="sd", trials=20, seed=2
-    )
-    assert not sd_probe.insensitive
-    assert sd_probe.witness is not None
-    base_again, variant = sd_probe.witness
-    assert base_again == base and len(variant) != len(base)
-    psd_probe = order_insensitivity_probe(
-        LENGTH_AWARE, base, mode="psd", trials=20, seed=2
-    )
-    assert psd_probe.insensitive
-
-
-def test_order_probe_detects_order_sensitivity():
-    first_biased = Learner(
-        "head", "G", lambda d, ctx: hypothesis_for(from_elements(
-            {d[0].value} if len(d) else set()))
-    )
-    base = DataSequence((Example(3, 1), Example(1, 0)))
-    probe = order_insensitivity_probe(first_biased, base, mode="psd", trials=20, seed=0)
-    assert not probe.insensitive
-    with pytest.raises(ValueError):
-        order_insensitivity_probe(FIN_POS, base, mode="set", trials=3)
 
 
 def test_fresh_labels_are_odd_and_increasing():

@@ -86,7 +86,6 @@ from .adversary import (
     Bounds,
     SubprocessOpponent,
     Witness,
-    mindchange_driver,
     run_adversary,
     verify_witness,
 )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import queue
 import subprocess
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .catalog import language
 from .evidence import (DataSet, Informant, canonical_informant, content,
@@ -38,7 +38,6 @@ __all__ = [
     "OpponentError",
     "SubprocessOpponent",
     "Witness",
-    "mindchange_driver",
     "run_adversary",
     "verify_witness",
 ]
@@ -49,15 +48,22 @@ WITNESS_KINDS = ("restriction-violation", "mindchange-transcript",
 
 @dataclass(frozen=True)
 class Bounds:
-    """Search budget: stabilization index, probe depth, driver rounds."""
+    """Search budget: stabilization index, probe depth, mind-change rounds.
+
+    Each bound is a positive int; a bool is not one.
+    """
 
     n_search: int = 100
     t_bound: int = 50
     rounds: int = 10
 
     def __post_init__(self):
-        if min(self.n_search, self.t_bound, self.rounds) < 1:
-            raise ValueError("bounds must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < 1):
+                raise ValueError(f"{f.name} must be a positive integer,"
+                                 f" got {value!r}")
 
 
 DEFAULT_BOUNDS = Bounds()
@@ -104,7 +110,9 @@ class _Game:
     switch the target, check the replay, find the site.
 
     Each step either returns what the game needs next or raises `_Stop`
-    with an exhausted witness, so a game reads as straight-line code.
+    with an exhausted witness, so a game reads as straight-line code. The
+    mindchange game plays no target and uses only the opponent, bounds,
+    context and `_witness`.
     """
 
     adversary: str
@@ -298,12 +306,7 @@ def _label_flip(opponent: Learner, d: DataSet, label: int, t_bound: int, ctx):
     return None
 
 
-def mindchange_driver(
-    opponent: Learner,
-    max_rounds: int = 10,
-    t_bound: int = 50,
-    ctx: EvalContext | None = None,
-) -> Witness:
+def _mindchange(g: _Game) -> Witness:
     """Force syntactic mind changes out of a set-driven opponent.
 
     Each round offers one of two fresh numbers and searches probe depths
@@ -311,37 +314,30 @@ def mindchange_driver(
     ever flips the label, the two grown targets form a split pair the
     opponent answers identically.
     """
-    if opponent.kind != "Sd":
+    if g.opponent.kind != "Sd":
         raise OpponentError("mindchange driver needs a set-driven opponent")
-    bounds = Bounds(DEFAULT_BOUNDS.n_search, t_bound, max_rounds)
-    if ctx is None:
-        ctx = EvalContext()
+    ctx = EvalContext() if g.ctx is None else g.ctx
+    rounds, t_bound = g.bounds.rounds, g.bounds.t_bound
     d = DataSet(frozenset())
     transcript: list[MindchangeRound] = []
-    for k in range(max_rounds):
-        before = opponent.fn(d, ctx).label
-        found = _label_flip(opponent, d, before, t_bound, ctx)
+    for k in range(rounds):
+        before = g.opponent.fn(d, ctx).label
+        found = _label_flip(g.opponent, d, before, t_bound, ctx)
         if found is None:
             p0 = max(outline(d), default=-1) + 1
             p1 = p0 + 1
             split = (from_elements(pos(d) | {p0}), from_elements(pos(d) | {p1}))
-            return Witness(
-                "split-pair", "mindchange", opponent.name, bounds,
-                note=f"label never changed over {t_bound + 1} probe depths"
-                     " for either fresh element; one conjecture cannot fit"
-                     " both targets",
-                split=split, data=d,
-                params=(("p0", p0), ("p1", p1), ("round", k)),
-                opponent_ref=opponent,
-            )
+            return g._witness(
+                "split-pair", f"label never changed over {t_bound + 1} probe"
+                " depths for either fresh element; one conjecture cannot fit"
+                " both targets", split=split, data=d,
+                params=(("p0", p0), ("p1", p1), ("round", k)))
         b, t, p, after, cand = found
         transcript.append(MindchangeRound(k, b, t, p, before, after))
         d = cand
-    return Witness(
-        "mindchange-transcript", "mindchange", opponent.name, bounds,
-        note=f"forced {max_rounds} mind changes", transcript=tuple(transcript),
-        data=d, params=(("rounds", max_rounds),), opponent_ref=opponent,
-    )
+    return g._witness("mindchange-transcript", f"forced {rounds} mind changes",
+                      transcript=tuple(transcript), data=d,
+                      params=(("rounds", rounds),))
 
 
 _GAMES = {
@@ -352,8 +348,7 @@ _GAMES = {
     "dual_vs_smon": _dual_vs_smon,
     "mon_vs_dual": _three_stage,
     "dual_vs_mon": _three_stage,
-    "mindchange": lambda g: mindchange_driver(
-        g.opponent, g.bounds.rounds, g.bounds.t_bound, g.ctx),
+    "mindchange": _mindchange,
 }
 
 ADVERSARY_IDS = tuple(_GAMES)

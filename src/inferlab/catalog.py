@@ -9,17 +9,23 @@ sets, together with one total learner per family tuned to exhibit a
 particular behaviour (strong monotonicity, its dual, cautiousness
 failures, and so on).
 
-Everything here is deterministic and purely combinatorial.  Learners
-are registered by id so experiment configs and the command line can
-refer to them by name; `list_catalog` exposes the pairing between each
-learner, its home family, and the behaviours it is known to satisfy or
-break there.  The satisfied/violated claims are not decorative: the
-test suite replays each of them against the checkers.
+Everything here is deterministic and purely combinatorial.  Each family
+and each learner is declared once, as a row of `_FAMILY_ROWS` or
+`_LEARNER_ROWS`: the row carries the family's instance generator or the
+learner's function and mode beside its metadata, and `FAMILY_IDS`,
+`LEARNER_IDS`, `family_instances` and `learner` are read off the rows.
+Experiment configs and the command line refer to them by id;
+`list_catalog` exposes the pairing between each learner, its home
+family, and the behaviours it is known to satisfy or break there.  The
+satisfied/violated claims are not decorative: the test suite replays
+each of them against the checkers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 from .evidence import format_sequence, neg, pos
 from .hypothesis import Hypothesis, hypothesis_for
@@ -138,21 +144,15 @@ def language(lang_id: str, **params) -> UPSet:
 
 
 # ---------------------------------------------------------------------------
-# families as finite instance sweeps
-
-FAMILY_IDS = (
-    "finite",
-    "cofinite",
-    "segments_or_N",
-    "N_or_finite",
-    "streamXYZ",
-    "evenXYZ",
-)
-
+# families as infinite instance sweeps, small members first
 
 def _finite_enum(k: int) -> UPSet:
     # k-th finite set via binary digits; enumerates all of them
     return from_elements(i for i in range(k.bit_length()) if k >> i & 1)
+
+
+def _finite_sets() -> Iterator[UPSet]:
+    return map(_finite_enum, itertools.count())
 
 
 def _tiers(base: UPSet, mid, top):
@@ -163,26 +163,6 @@ def _tiers(base: UPSet, mid, top):
         for n in range(m):
             yield top(n, m)
         m += 1
-
-
-def family_instances(family: str, count: int = 8) -> tuple[UPSet, ...]:
-    """Deterministic sample of `count` members of the family, small first."""
-    count = _natural("count", count)
-    if family == "finite":
-        return tuple(_finite_enum(k) for k in range(count))
-    if family == "cofinite":
-        return tuple(complement(_finite_enum(k)) for k in range(count))
-    if family == "segments_or_N":
-        return (NATURALS,) + tuple(_lang_segment(n) for n in range(max(count - 1, 0)))
-    if family == "N_or_finite":
-        return (NATURALS,) + tuple(_finite_enum(k) for k in range(max(count - 1, 0)))
-    if family == "streamXYZ":
-        it = _tiers(STREAM_X, _lang_stream_y, _lang_stream_z)
-        return tuple(next(it) for _ in range(count))
-    if family == "evenXYZ":
-        it = _tiers(EVEN_X, _lang_even_y, _lang_even_z)
-        return tuple(next(it) for _ in range(count))
-    raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILY_IDS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -258,31 +238,6 @@ def _constant_empty(d, ctx) -> Hypothesis:
     return hypothesis_for(EMPTY)
 
 
-_LEARNERS = {
-    "fin_pos": ("Sd", _fin_pos),
-    "cofinite": ("Sd", _cofinite),
-    "maxpos": ("Sd", _maxpos),
-    "segment": ("G", _segment),
-    "n_or_fin": ("G", _n_or_fin),
-    "stream_mon": ("G", _stream_mon),
-    "even_dualmon": ("G", _even_dualmon),
-    "fresh_label": ("Sd", _fresh_label),
-    "constant_empty": ("Sd", _constant_empty),
-}
-
-LEARNER_IDS = tuple(sorted(_LEARNERS))
-
-
-def learner(learner_id: str) -> Learner:
-    try:
-        kind, fn = _LEARNERS[learner_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown learner {learner_id!r}; known: {', '.join(LEARNER_IDS)}"
-        ) from None
-    return Learner(learner_id, kind, fn)
-
-
 def constant_learner(target: UPSet, name: str | None = None) -> Learner:
     """Learner that ignores all data and conjectures `target` forever."""
     h = hypothesis_for(target)
@@ -299,6 +254,7 @@ class FamilyEntry:
     params: str
     learner: str
     note: str
+    instances: Callable[[], Iterator[UPSet]] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -309,66 +265,99 @@ class LearnerEntry:
     satisfies: tuple[str, ...]
     violates: tuple[str, ...]
     note: str
+    fn: Callable = field(compare=False, repr=False)
 
 
 _FAMILY_ROWS = (
     FamilyEntry("finite", ("finite",), "elements: finite set", "fin_pos",
-                "all finite languages"),
+                "all finite languages", _finite_sets),
     FamilyEntry("cofinite", ("cofinite",), "remove: finite set", "cofinite",
-                "complements of finite sets"),
+                "complements of finite sets",
+                lambda: map(complement, _finite_sets())),
     FamilyEntry("segments_or_N", ("naturals", "segment"), "n >= 0", "segment",
-                "initial segments {0..n} plus the naturals"),
+                "initial segments {0..n} plus the naturals",
+                lambda: itertools.chain((NATURALS,), map(_lang_segment,
+                                                         itertools.count()))),
     FamilyEntry("N_or_finite", ("naturals", "finite"), "elements: finite set",
-                "n_or_fin", "the naturals plus all finite languages"),
+                "n_or_fin", "the naturals plus all finite languages",
+                lambda: itertools.chain((NATURALS,), _finite_sets())),
     FamilyEntry("streamXYZ", ("streamX", "streamY", "streamZ"), "n; n < m",
                 "stream_mon",
                 "streams over a_i=3i, b_i=3i+1, c_i=3i+2: all a; switch to b at n;"
-                " stop with c_m"),
+                " stop with c_m",
+                lambda: _tiers(STREAM_X, _lang_stream_y, _lang_stream_z)),
     FamilyEntry("evenXYZ", ("evenX", "evenY", "evenZ"), "n; n < m",
                 "even_dualmon",
                 "all evens; evens up to 2n plus odd marker 2n+1; plus one later"
-                " even 2m"),
+                " even 2m",
+                lambda: _tiers(EVEN_X, _lang_even_y, _lang_even_z)),
 )
 
 _LEARNER_ROWS = (
     LearnerEntry("fin_pos", "Sd", "finite",
                  ("cons", "smon", "mon_b", "caut", "bc", "ex"),
                  ("smon_d",),
-                 "conjectures exactly the positive data"),
+                 "conjectures exactly the positive data", _fin_pos),
     LearnerEntry("cofinite", "Sd", "cofinite",
                  ("cons", "mon", "smon_d", "mon_b", "caut_fin", "bc", "ex"),
                  ("smon", "caut", "caut_inf", "caut_tar"),
-                 "conjectures everything not yet denied"),
+                 "conjectures everything not yet denied", _cofinite),
     LearnerEntry("maxpos", "Sd", "finite",
                  ("cons", "smon", "bc"),
                  ("ex",),
                  "label max(pos) over extension pos; labels repeat across"
-                 " growing contents"),
+                 " growing contents", _maxpos),
     LearnerEntry("segment", "G", "segments_or_N",
                  ("cons", "smon_d", "bc", "ex"),
                  ("smon", "caut_fin", "caut_tar"),
-                 "naturals until denied, then the segment below min(neg)"),
+                 "naturals until denied, then the segment below min(neg)",
+                 _segment),
     LearnerEntry("n_or_fin", "G", "N_or_finite",
                  ("cons", "caut_inf", "bc", "ex"),
                  ("caut", "caut_fin"),
-                 "naturals until denied, then the positive data"),
+                 "naturals until denied, then the positive data", _n_or_fin),
     LearnerEntry("stream_mon", "G", "streamXYZ",
                  ("mon", "wmon", "bc", "ex"),
                  ("cons", "mon_d", "mon_b"),
-                 "climbs X -> Y_n -> Z_{n,m} as markers appear"),
+                 "climbs X -> Y_n -> Z_{n,m} as markers appear", _stream_mon),
     LearnerEntry("even_dualmon", "G", "evenXYZ",
                  ("mon_d", "wmon_d", "bc", "ex"),
                  ("cons", "mon", "mon_b"),
-                 "climbs X -> Y_n -> Z_{n,m}; dual-monotone but drops evens"),
+                 "climbs X -> Y_n -> Z_{n,m}; dual-monotone but drops evens",
+                 _even_dualmon),
     LearnerEntry("fresh_label", "Sd", "finite",
                  ("cons", "bc"),
                  ("ex",),
-                 "memorizer: every new content gets a new label"),
+                 "memorizer: every new content gets a new label", _fresh_label),
     LearnerEntry("constant_empty", "Sd", "finite",
                  ("smon_b", "caut"),
                  ("bc",),
-                 "never revises; learns only the empty language"),
+                 "never revises; learns only the empty language",
+                 _constant_empty),
 )
+
+FAMILY_IDS = tuple(row.family for row in _FAMILY_ROWS)
+LEARNER_IDS = tuple(sorted(row.learner for row in _LEARNER_ROWS))
+
+
+def _row(rows, what: str, key, known):
+    """The row of `rows` whose `what` field is `key`."""
+    for row in rows:
+        if getattr(row, what) == key:
+            return row
+    raise ValueError(f"unknown {what} {key!r}; known: {', '.join(known)}")
+
+
+def family_instances(family: str, count: int = 8) -> tuple[UPSet, ...]:
+    """Deterministic sample of `count` members of the family, small first."""
+    count = _natural("count", count)
+    instances = _row(_FAMILY_ROWS, "family", family, FAMILY_IDS).instances
+    return tuple(itertools.islice(instances(), count))
+
+
+def learner(learner_id: str) -> Learner:
+    row = _row(_LEARNER_ROWS, "learner", learner_id, LEARNER_IDS)
+    return Learner(learner_id, row.kind, row.fn)
 
 
 def list_catalog(kind: str):

@@ -11,7 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .adversary import ADVERSARY_IDS, Bounds, OpponentError, run_adversary
+from .adversary import (ADVERSARY_IDS, DEFAULT_BOUNDS, Bounds, OpponentError,
+                        run_adversary)
 from .catalog import LEARNER_IDS, learner
 from .harness import (
     ConfigError,
@@ -50,7 +51,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
-    bounds = Bounds(args.n_search, args.t_bound, args.rounds)
+    try:
+        bounds = Bounds(args.n_search, args.t_bound, args.rounds)
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from None
     witness = run_adversary(args.id, learner(args.opponent), bounds)
     row = _adversary_row(witness)
     print(format_adversary_row(row))
@@ -92,13 +96,6 @@ def _cmd_demo(args) -> int:
     return 1 if failures else 0
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inferlab",
@@ -116,9 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
     adv = sub.add_parser("adversary", help="run one separation game")
     adv.add_argument("id", choices=ADVERSARY_IDS)
     adv.add_argument("--opponent", required=True, choices=LEARNER_IDS)
-    adv.add_argument("--n-search", type=_positive, default=100)
-    adv.add_argument("--t-bound", type=_positive, default=50)
-    adv.add_argument("--rounds", type=_positive, default=10)
+    adv.add_argument("--n-search", type=int, default=DEFAULT_BOUNDS.n_search)
+    adv.add_argument("--t-bound", type=int, default=DEFAULT_BOUNDS.t_bound)
+    adv.add_argument("--rounds", type=int, default=DEFAULT_BOUNDS.rounds)
     adv.add_argument("--expect", choices=("witness", "exhausted"),
                      default="witness")
     adv.set_defaults(func=_cmd_adversary)

@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 
 from .evidence import (
     DataSequence,
-    DataSet,
     Example,
     _trusted,
+    content,
     neg,
     outline,
     pos,
@@ -94,14 +94,11 @@ def patch(e: Hypothesis, d, ctx) -> Hypothesis:
 
 def patched_learner(learner: Learner) -> Learner:
     """Consistency by force; denotations untouched wherever already consistent."""
-    if learner.kind == "Sd":
-        fn = lambda dset, ctx: patch(learner.fn(dset, ctx), dset, ctx)
-    elif learner.kind == "G":
-        fn = lambda d, ctx: patch(learner.fn(d, ctx), d, ctx)
-    else:
+    if learner.kind not in ("G", "Sd"):
         raise ValueError(
             "patching works on G or Sd learners; lift others first"
         )
+    fn = lambda d, ctx: patch(learner.fn(d, ctx), d, ctx)
     return Learner(f"{learner.name}[patched]", learner.kind, fn)
 
 
@@ -240,8 +237,7 @@ def dual_wmon_poison(learner: Learner) -> Learner:
         # carry: whether some base answer since the last new positive
         # missed a shown positive, and the answer's extension
         p, n = pos(tau), neg(tau)
-        dset = _trusted(DataSet, frozenset(tau.items))
-        guess = learner.fn(dset, ctx).extension
+        guess = learner.fn(content(tau), ctx).extension
         poisoned = not all(guess.member(x) for x in p) or (
             parent is not None and parent.carry[0]
             and not (tau.items[-1].label and _last_is_new(tau))
@@ -311,5 +307,5 @@ COMBINATORS = {
 def combinator(name: str):
     try:
         return COMBINATORS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(f"unknown combinator {name!r}") from None

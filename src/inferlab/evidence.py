@@ -120,6 +120,8 @@ def outline(d) -> frozenset[int]:
 def content(d) -> DataSet:
     if isinstance(d, DataSet):
         return d
+    if isinstance(d, DataSequence):  # already validated
+        return _trusted(DataSet, frozenset(d.items))
     return DataSet(frozenset(_examples(d)))
 
 
@@ -201,16 +203,6 @@ class Informant:
                 else:
                     break
         return Example(value, 1 if self.target.member(value) else 0)
-
-    def describe(self) -> str:
-        if self.order == "canonical" and not self.head:
-            return f"canonical[{self.target}]"
-        parts = [f"target={self.target}", f"order={self.order}"]
-        if self.order == "shuffled":
-            parts.append(f"seed={self.seed}")
-        if self.head:
-            parts.append(f"head={format_sequence(DataSequence(self.head))}")
-        return f"informant[{'; '.join(parts)}]"
 
 
 def canonical_informant(target: UPSet) -> Informant:

@@ -22,7 +22,6 @@ from .adversary import (
     Bounds,
     DEFAULT_BOUNDS,
     Witness,
-    mindchange_driver,
     run_adversary,
     verify_witness,
 )
@@ -283,12 +282,8 @@ def _resolve_adversaries(raw, pipeline, errors) -> tuple[AdversaryRun, ...]:
                           f"{', '.join(ADVERSARY_IDS)}")
             continue
         try:
-            bounds = Bounds(
-                entry.get("n_search", DEFAULT_BOUNDS.n_search),
-                entry.get("t_bound", DEFAULT_BOUNDS.t_bound),
-                entry.get("rounds", DEFAULT_BOUNDS.rounds),
-            )
-        except (ValueError, TypeError) as exc:
+            bounds = Bounds(**{k: v for k, v in entry.items() if k != "id"})
+        except ValueError as exc:
             errors.append(f"{where}: {exc}")
             continue
         if adv == "mindchange" and pipeline is not None \
@@ -328,7 +323,8 @@ def validate_config(text: str) -> ExperimentConfig:
     if not isinstance(comb, list):
         errors.append("combinators must be a list")
         comb = []
-    bad = [c for c in comb if c not in COMBINATORS]
+    # a tuple, not the dict: an entry may be unhashable
+    bad = [c for c in comb if c not in tuple(COMBINATORS)]
     for c in bad:
         errors.append(f"unknown combinator {c!r}; known: "
                       f"{', '.join(sorted(COMBINATORS))}")
@@ -565,19 +561,27 @@ def _to_json(obj) -> dict:
 def _from_json(hint, value):
     """The value of the annotated type whose `_to_json` image is `value`.
 
-    A malformed image raises KeyError, TypeError or AttributeError.
+    A malformed image raises KeyError, TypeError or AttributeError. A
+    tuple must come as an array and a scalar as its own type; a bool is
+    not an int.
     """
     if dataclasses.is_dataclass(hint):
         hints = typing.get_type_hints(hint)
         return hint(**{
-            f.name: tuple(sorted(value[f.name].items())) if f.name == "params"
+            f.name: tuple(sorted((k, _from_json(int, v))
+                                 for k, v in value[f.name].items()))
+            if f.name == "params"
             else _from_json(hints[f.name], value[f.name])
             for f in dataclasses.fields(hint)})
     args = typing.get_args(hint)
     if type(None) in args:
         return None if value is None else _from_json(args[0], value)
     if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise TypeError(f"expected an array, got {value!r}")
         return tuple(_from_json(args[0], v) for v in value)
+    if type(value) is not hint:
+        raise TypeError(f"expected {hint.__name__}, got {value!r}")
     return value
 
 
@@ -733,7 +737,8 @@ def _demo_separation(adversary_id, opponent_id, element_of):
 
 
 def _demo_mindchange():
-    w = mindchange_driver(learner("fresh_label"), max_rounds=10, t_bound=20)
+    w = run_adversary("mindchange", learner("fresh_label"),
+                      Bounds(t_bound=20, rounds=10))
     ok = (w.kind == "mindchange-transcript" and len(w.transcript) == 10
           and verify_witness(w))
     return ok, "10 forced label changes, one per offered fresh number"

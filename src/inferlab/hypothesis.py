@@ -82,21 +82,12 @@ def stage_enumerate(h: Hypothesis, t: int) -> frozenset[int]:
     )
 
 
-def _extension_of(e) -> UPSet | frozenset[int]:
-    if isinstance(e, Hypothesis):
-        return e.extension
-    if isinstance(e, UPSet):
-        return e
-    if isinstance(e, (set, frozenset)):
-        return frozenset(e)
-    raise TypeError(f"no extension for {e!r}")
-
-
 def consistent(e, d) -> bool:
-    """Evidence d neither misses a positive nor includes a negative of e."""
-    ext = _extension_of(e)
-    if isinstance(ext, frozenset):
-        return evidence.pos(d) <= ext and not (evidence.neg(d) & ext)
+    """Evidence d neither misses a positive nor includes a negative of e,
+    a `Hypothesis` or a `UPSet`."""
+    ext = e.extension if isinstance(e, Hypothesis) else e
+    if not isinstance(ext, UPSet):
+        raise TypeError(f"no extension for {e!r}")
     return all(ext.member(x) for x in evidence.pos(d)) and not any(
         ext.member(x) for x in evidence.neg(d)
     )

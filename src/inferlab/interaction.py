@@ -9,7 +9,8 @@ the learner gets to see at step n of an informant presentation:
   It   only its previous hypothesis and the n-th example
 
 Iterative runs start from a designated empty-extension hypothesis, so the
-hypothesis stream is total from step 0 in every mode.
+hypothesis stream is total from step 0 in every mode. `_handed` alone says
+what a G, Psd or Sd learner is handed; every mode passes the context last.
 """
 
 from __future__ import annotations
@@ -73,6 +74,15 @@ class HypSequence:
         return self.items[-1]
 
 
+def _handed(kind: str, d, dset) -> tuple:
+    """A learner's arguments before the context at prefix d, content dset."""
+    if kind == "G":
+        return (d,)
+    if kind == "Psd":
+        return (dset, len(d))
+    return (dset,)
+
+
 def run(
     learner: Learner,
     informant: Informant,
@@ -98,14 +108,8 @@ def run(
             h = learner.fn(h, informant.example_at(i - 1), ctx)
             items.append(h)
     else:
-        for n, (d, dset) in enumerate(prefixes(informant, horizon)):
-            if learner.kind == "G":
-                h = learner.fn(d, ctx)
-            elif learner.kind == "Psd":
-                h = learner.fn(dset, n, ctx)
-            else:
-                h = learner.fn(dset, ctx)
-            items.append(h)
+        for d, dset in prefixes(informant, horizon):
+            items.append(learner.fn(*_handed(learner.kind, d, dset), ctx))
     return HypSequence(tuple(items), learner.name, informant)
 
 
@@ -113,11 +117,7 @@ def as_full_information(learner: Learner) -> Learner:
     """View any learner as a G learner over whole sequences."""
     if learner.kind == "G":
         return learner
-    if learner.kind == "Sd":
-        fn = lambda d, ctx: learner.fn(content(d), ctx)
-    elif learner.kind == "Psd":
-        fn = lambda d, ctx: learner.fn(content(d), len(d), ctx)
-    else:
+    if learner.kind == "It":
 
         def fn(d, ctx):
             h = INITIAL_HYPOTHESIS
@@ -125,6 +125,9 @@ def as_full_information(learner: Learner) -> Learner:
                 h = learner.fn(h, ex, ctx)
             return h
 
+    else:
+        fn = lambda d, ctx: learner.fn(*_handed(learner.kind, d, content(d)),
+                                       ctx)
     return Learner(f"{learner.name}[G]", "G", fn)
 
 
@@ -135,13 +138,8 @@ def with_fresh_labels(learner: Learner) -> Learner:
     can settle, so it separates syntactic from semantic convergence.
     """
 
-    def relabel(h, ctx):
-        return Hypothesis(ctx.fresh_label(), h.extension, h.delay)
+    def fn(*args):
+        h = learner.fn(*args)
+        return Hypothesis(args[-1].fresh_label(), h.extension, h.delay)
 
-    if learner.kind == "It":
-        fn = lambda h, ex, ctx: relabel(learner.fn(h, ex, ctx), ctx)
-    elif learner.kind == "Psd":
-        fn = lambda d, n, ctx: relabel(learner.fn(d, n, ctx), ctx)
-    else:
-        fn = lambda d, ctx: relabel(learner.fn(d, ctx), ctx)
     return Learner(f"{learner.name}[fresh]", learner.kind, fn)

@@ -55,6 +55,7 @@ from .evidence import Informant
 from .interaction import HypSequence
 from .upset import (
     EMPTY,
+    NATURALS,
     Relation,
     UPSet,
     difference,
@@ -467,7 +468,10 @@ def evaluate_site(
             bad = _pair_bad(restriction, wa, wb, seq.informant.target)
     else:
         return False
-    return bad is _NO_ELEMENT if element is None else element in bad
+    if element is None:
+        return bad is _NO_ELEMENT
+    # cons yields its witnesses as ints, and True == 1: ask NATURALS first
+    return element in NATURALS and element in bad
 
 
 def revalidate(verdict: Verdict, seq: HypSequence) -> bool:

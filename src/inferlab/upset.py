@@ -91,14 +91,15 @@ class UPSet:
             return self.prefix[x] == "1"
         return self.period[(x - len(self.prefix)) % len(self.period)] == "1"
 
-    def __contains__(self, x: int) -> bool:
+    def __contains__(self, x) -> bool:
+        """Like `member`, but anything not a natural int (bools are not) is
+        simply outside."""
+        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+            return False
         return self.member(x)
 
     def is_finite(self) -> bool:
         return "1" not in self.period
-
-    def is_cofinite(self) -> bool:
-        return "0" not in self.period
 
     def __str__(self) -> str:
         return f"{self.prefix}|{self.period}"

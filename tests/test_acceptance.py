@@ -11,7 +11,7 @@ import pytest
 
 from inferlab.adversary import (
     DEFAULT_BOUNDS,
-    mindchange_driver,
+    Bounds,
     run_adversary,
     verify_witness,
 )
@@ -146,7 +146,7 @@ def test_patch_preserves_monotone_variants(announce):
                     v = check(variant, seq)
                     if not v.satisfied:
                         failures.append((variant, lrn.name, str(target),
-                                         informant.describe(), v.detail))
+                                         repr(informant), v.detail))
     announce("patch-preserves-monotone-variants", failures)
 
 
@@ -166,7 +166,7 @@ def test_cons_wmon_wrapper(announce):
                     v = check(rid, seq)
                     if not v.satisfied:
                         failures.append((lrn.name, str(target), rid,
-                                         informant.describe(), v.detail))
+                                         repr(informant), v.detail))
     announce("cons-wmon-wrapper", failures)
 
 
@@ -246,12 +246,13 @@ def test_separation_witnesses(announce):
 def test_mindchange_driver(announce):
     failures = []
     for opponent_id in ("fresh_label", "maxpos"):
-        w = mindchange_driver(learner(opponent_id), max_rounds=10, t_bound=50)
+        w = run_adversary("mindchange", learner(opponent_id),
+                          Bounds(t_bound=50, rounds=10))
         if w.kind != "mindchange-transcript" or len(w.transcript) < 10 \
                 or not verify_witness(w):
             failures.append((opponent_id, w.kind, len(w.transcript)))
-    split = mindchange_driver(learner("constant_empty"), max_rounds=10,
-                              t_bound=50)
+    split = run_adversary("mindchange", learner("constant_empty"),
+                          Bounds(t_bound=50, rounds=10))
     if split.kind != "split-pair" or dict(split.params)["round"] != 0 \
             or not verify_witness(split):
         failures.append(("constant_empty", split.kind, split.params))
@@ -293,7 +294,7 @@ def test_restriction_lattice(announce):
     for seq in _lattice_corpus():
         verdicts = check_all(seq)
         v = {rid: verdicts[rid].satisfied for rid in RESTRICTION_IDS}
-        where = (seq.learner_name, seq.informant.describe())
+        where = (seq.learner_name, repr(seq.informant))
         for premise, conclusions in _IMPLICATIONS:
             for conclusion in conclusions:
                 if v[premise] and not v[conclusion]:

@@ -13,7 +13,6 @@ from inferlab.adversary import (
     OpponentError,
     SubprocessOpponent,
     Witness,
-    mindchange_driver,
     run_adversary,
     verify_witness,
 )
@@ -140,7 +139,8 @@ def test_monotonicity_unknown_kind():
 # mind changes
 
 def test_mindchange_transcript_maxpos():
-    w = mindchange_driver(learner("maxpos"), max_rounds=5, t_bound=10)
+    w = run_adversary("mindchange", learner("maxpos"),
+                      Bounds(t_bound=10, rounds=5))
     assert w.kind == "mindchange-transcript"
     assert len(w.transcript) == 5
     # each round offers the next fresh number and flips on its arrival
@@ -150,7 +150,8 @@ def test_mindchange_transcript_maxpos():
 
 
 def test_mindchange_transcript_fresh_label():
-    w = mindchange_driver(learner("fresh_label"), max_rounds=10, t_bound=10)
+    w = run_adversary("mindchange", learner("fresh_label"),
+                      Bounds(t_bound=10, rounds=10))
     assert len(w.transcript) == 10
     labels = [r.label_after for r in w.transcript]
     assert len(set(labels)) == 10
@@ -158,7 +159,8 @@ def test_mindchange_transcript_fresh_label():
 
 
 def test_mindchange_split_pair_on_constant():
-    w = mindchange_driver(learner("constant_empty"), max_rounds=4, t_bound=6)
+    w = run_adversary("mindchange", learner("constant_empty"),
+                      Bounds(t_bound=6, rounds=4))
     assert w.kind == "split-pair"
     assert dict(w.params)["round"] == 0
     assert w.split == (from_elements({0}), from_elements({1}))
@@ -168,7 +170,7 @@ def test_mindchange_split_pair_on_constant():
 
 def test_mindchange_requires_set_driven():
     with pytest.raises(OpponentError):
-        mindchange_driver(learner("segment"))
+        run_adversary("mindchange", learner("segment"))
 
 
 def test_tampered_witnesses_fail_verification():
@@ -178,7 +180,8 @@ def test_tampered_witnesses_fail_verification():
     wrong_el = dataclasses.replace(w.verdict, element=5)
     assert not verify_witness(dataclasses.replace(w, verdict=wrong_el))
 
-    m = mindchange_driver(learner("maxpos"), max_rounds=3, t_bound=5)
+    m = run_adversary("mindchange", learner("maxpos"),
+                      Bounds(t_bound=5, rounds=3))
     r0 = m.transcript[0]
     forged = (dataclasses.replace(r0, label_after=r0.label_after + 1),
               *m.transcript[1:])
@@ -229,7 +232,8 @@ def test_subprocess_opponent_round_trip():
         assert h.extension == from_elements({0, 3})
         assert opp.ask(DataSet(frozenset())).extension == from_elements(())
         # drive a real game over the pipe
-        w = mindchange_driver(opp.as_learner(), max_rounds=3, t_bound=3)
+        w = run_adversary("mindchange", opp.as_learner(),
+                          Bounds(t_bound=3, rounds=3))
         assert w.kind == "mindchange-transcript"
 
 

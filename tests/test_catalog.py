@@ -21,7 +21,8 @@ from inferlab.evidence import (
 from inferlab.hypothesis import hypothesis_for
 from inferlab.interaction import run
 from inferlab.restrictions import check, check_all
-from inferlab.upset import EMPTY, NATURALS, UPSet, from_elements, parse
+from inferlab.upset import (EMPTY, NATURALS, UPSet, complement, from_elements,
+                            parse)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +79,7 @@ def test_family_instances_finite_enumeration():
 
 def test_family_instances_shapes():
     cof = family_instances("cofinite", 4)
-    assert all(u.is_cofinite() for u in cof)
+    assert all(complement(u).is_finite() for u in cof)
     seg = family_instances("segments_or_N", 4)
     assert seg[0] == NATURALS and seg[1] == from_elements({0})
     nfin = family_instances("N_or_finite", 3)
@@ -93,6 +94,7 @@ def test_family_instances_shapes():
         language("streamZ", n=1, m=2),
     )
     assert len(family_instances("evenXYZ", 9)) == 9
+    assert all(family_instances(f, 0) == () for f in FAMILY_IDS)
     with pytest.raises(ValueError):
         family_instances("unknown")
 
@@ -253,7 +255,7 @@ def test_advertised_satisfactions_hold():
                 verdicts = check_all(run(lad, informant, 30))
                 for rid in entry.satisfies:
                     assert verdicts[rid].satisfied, (
-                        entry.learner, rid, str(target), informant.describe())
+                        entry.learner, rid, str(target), repr(informant))
 
 
 def test_list_catalog_metadata():

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from inferlab.harness import parse_report
 
 _BASE = {
@@ -75,6 +77,23 @@ def test_check_exit_two_on_unwritable_output(tmp_path):
     proc = run_cli("check", write_config(tmp_path), "--output", str(out))
     assert proc.returncode == 2
     assert "output error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("cfg", [
+    {**_BASE, "combinators": [["x"]]},
+    {**_BASE, "combinators": [{"a": 1}]},
+    {"learner": "fin_pos", "horizon": 1,
+     "adversaries": [{"id": "caut_tar", "n_search": 1.5}]},
+    {"learner": "fin_pos", "horizon": 1,
+     "adversaries": [{"id": "caut_tar", "rounds": True}]},
+], ids=("list-combinator", "object-combinator", "float-bound", "bool-bound"))
+def test_check_exit_two_on_values_of_the_wrong_type(tmp_path, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli("check", str(path))
+    assert proc.returncode == 2
+    assert "config error:" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -21,6 +21,7 @@ from inferlab.combinators import (
 )
 from inferlab.evidence import (
     DataSequence,
+    DataSet,
     Example,
     Informant,
     canonical_informant,
@@ -284,13 +285,30 @@ def test_wrappers_make_a_linear_number_of_base_calls(monkeypatch, wrap,
     assert counts[1] <= 2.5 * counts[0], counts
 
 
+def test_set_driven_base_is_handed_unvalidated_content(monkeypatch):
+    # the wrapper's prefixes are valid already, so their content is too
+    validated = 0
+    check = DataSet.__post_init__
+
+    def counted_check(d):
+        nonlocal validated
+        validated += 1
+        check(d)
+
+    monkeypatch.setattr(DataSet, "__post_init__", counted_check)
+    run(cons_wmon_wrapper(catalog_learner("cofinite")),
+        canonical_informant(parse("10|1")), 100)
+    assert validated == 0
+
+
 def test_combinator_registry():
     assert set(COMBINATORS) == {
         "to_sd", "patch", "cons_wmon", "dual_wmon_poison", "cons_wmon_fourcase"
     }
     assert combinator("patch") is patched_learner
-    with pytest.raises(ValueError):
-        combinator("fix_everything")
+    for name in ("fix_everything", ["x"], {"a": 1}):
+        with pytest.raises(ValueError):
+            combinator(name)
 
 
 # Each pipeline step as (package version, oracle version).

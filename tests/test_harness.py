@@ -1,10 +1,13 @@
 """Config validation, experiment runs, report rendering and round-trips."""
 
 import json
+import typing
 
 import pytest
 
 from inferlab.harness import (
+    AdversaryRow,
+    CheckRow,
     ConfigError,
     Fingerprint,
     Report,
@@ -200,20 +203,26 @@ def test_machine_report_round_trips_and_is_stable():
         render_report(a, "pdf")
 
 
-# Fields a report stores as tuples, and the substitutes each mutation tries.
-_ARRAYS = ("pipeline", "indices", "extensions", "split", "schedule_seeds")
-_SUBSTITUTES = (7, "x", [0], {"k": 0}, None)
+# The substitutes each mutation tries.
+_SUBSTITUTES = (7, "x", [0], {"k": 0}, {"k": "x"}, None)
 
 
-def _must_reject(key, value) -> bool:
-    """Mutations no reader of the format has accepted."""
+def _must_reject(cls, key, value) -> bool:
+    """Mutations no reader of the format may accept: null outside a
+    `| None` field, and a value whose JSON type is not the field's."""
     if key in ("rows", "adversaries", "fingerprint"):
         return True  # no substitute is a list of rows or a fingerprint
-    if key == "params":
-        return not isinstance(value, dict)
-    if key in _ARRAYS:
-        return isinstance(value, int) or (value is None and key != "split")
-    return False
+    if key == "params":  # an object of ints
+        return not isinstance(value, dict) or any(
+            type(v) is not int for v in value.values())
+    hint = typing.get_type_hints(cls)[key]
+    args = typing.get_args(hint)
+    if value is None:
+        return type(None) not in args
+    if type(None) in args:
+        hint = args[0]
+    json_type = list if typing.get_origin(hint) is tuple else hint
+    return type(value) is not json_type
 
 
 def test_parse_report_refuses_mutated_documents_with_value_error():
@@ -222,8 +231,10 @@ def test_parse_report_refuses_mutated_documents_with_value_error():
         adversaries=[{"id": "caut_tar"}])))
     doc = report_to_dict(report)
     assert report.rows and doc["adversaries"][0]["params"]
-    parts = (doc, doc["rows"][0], doc["adversaries"][0], doc["fingerprint"])
-    for part in parts:
+    parts = ((Report, doc), (CheckRow, doc["rows"][0]),
+             (AdversaryRow, doc["adversaries"][0]),
+             (Fingerprint, doc["fingerprint"]))
+    for cls, part in parts:
         for key in list(part):
             value = part.pop(key)
             with pytest.raises(ValueError, match="not a report document"):
@@ -235,7 +246,7 @@ def test_parse_report_refuses_mutated_documents_with_value_error():
                 except ValueError:
                     parsed = None
                 assert parsed is None or isinstance(parsed, Report), key
-                if _must_reject(key, bad):
+                if _must_reject(cls, key, bad):
                     assert parsed is None, (key, bad)
             part[key] = value
     assert parse_report(json.dumps(doc)) == report

@@ -392,6 +392,7 @@ def test_revalidate_accepts_exactly_the_oracle_sites(seq, data):
 
     Candidates are check's own site, where it has one, and a drawn site,
     each moved by one on an index, given another element, or given none.
+    An element that is not a natural (a bool is not one) never revalidates.
     """
     raw = _raw_run(seq)
     sites = st.tuples(st.lists(st.integers(0, len(seq) - 1), min_size=1,
@@ -417,6 +418,10 @@ def test_revalidate_accepts_exactly_the_oracle_sites(seq, data):
         for cand, x in candidates:
             assert revalidate(Verdict(rid, False, cand, x), seq) == raw_site(
                 rid, *raw, cand, x), (rid, cand, x)
+        for cand in {indices for indices, _ in candidates}:
+            for x in (-1, "x", 1.5, True):
+                assert revalidate(Verdict(rid, False, cand, x), seq) is False, \
+                    (rid, cand, x)
 
 
 @settings(max_examples=300, deadline=None)

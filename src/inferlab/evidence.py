@@ -12,22 +12,31 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .upset import UPSet
+from .upset import NATURALS, UPSet
 
 
 class Example(NamedTuple):
     value: int
     label: int  # 1 = positive, 0 = negative
 
+    def agrees(self, u: UPSet) -> bool:
+        """Whether the set `u` gives this example's value its label."""
+        return u.member(self.value) == bool(self.label)
+
 
 def _as_examples(items) -> tuple[Example, ...]:
+    """The items as examples: (value, label) pairs, value a natural and
+    label the int 0 or 1. Nothing is coerced; a bool is neither."""
     out = []
     for item in items:
-        value, label = item
-        label = int(label)
-        if label not in (0, 1):
+        try:
+            value, label = item
+        except (TypeError, ValueError):
+            raise ValueError(f"an example is a (value, label) pair,"
+                             f" got {item!r}") from None
+        if label not in NATURALS or label > 1:
             raise ValueError(f"label must be 0 or 1, got {label!r}")
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        if value not in NATURALS:
             raise ValueError(f"example values are naturals, got {value!r}")
         out.append(Example(value, label))
     return tuple(out)
@@ -99,30 +108,22 @@ def _trusted(cls, items):
     return d
 
 
-def _examples(d) -> Iterable[Example]:
-    if isinstance(d, (DataSequence, DataSet)):
-        return d.items
-    return _as_examples(d)
+def pos(d: Evidence) -> frozenset[int]:
+    return frozenset(ex.value for ex in d.items if ex.label == 1)
 
 
-def pos(d) -> frozenset[int]:
-    return frozenset(ex.value for ex in _examples(d) if ex.label == 1)
+def neg(d: Evidence) -> frozenset[int]:
+    return frozenset(ex.value for ex in d.items if ex.label == 0)
 
 
-def neg(d) -> frozenset[int]:
-    return frozenset(ex.value for ex in _examples(d) if ex.label == 0)
+def outline(d: Evidence) -> frozenset[int]:
+    return frozenset(ex.value for ex in d.items)
 
 
-def outline(d) -> frozenset[int]:
-    return frozenset(ex.value for ex in _examples(d))
-
-
-def content(d) -> DataSet:
+def content(d: Evidence) -> DataSet:
     if isinstance(d, DataSet):
         return d
-    if isinstance(d, DataSequence):  # already validated
-        return _trusted(DataSet, frozenset(d.items))
-    return DataSet(frozenset(_examples(d)))
+    return _trusted(DataSet, frozenset(d.items))  # already validated
 
 
 def parse_sequence(text: str) -> DataSequence:
@@ -139,8 +140,8 @@ def parse_sequence(text: str) -> DataSequence:
     return DataSequence(tuple(items))
 
 
-def format_sequence(d) -> str:
-    items = d.sorted() if isinstance(d, DataSet) else _examples(d)
+def format_sequence(d: Evidence) -> str:
+    items = d.sorted() if isinstance(d, DataSet) else d.items
     return ",".join(f"{ex.value}:{'+' if ex.label else '-'}" for ex in items)
 
 
@@ -164,6 +165,9 @@ class Informant:
     either in canonical order, in canonical order skipping values the head
     already covered (fresh), or block-shuffled by the seed. Every natural
     occurs at some index regardless of the order.
+
+    A head entry is a bare natural, which the target labels, or a
+    (value, label) pair that must agree with the target.
     """
 
     target: UPSet
@@ -172,10 +176,11 @@ class Informant:
     seed: int = 0
 
     def __post_init__(self):
-        head = _as_examples(self.head)
-        _check_label_consistent(head)
+        head = _as_examples(
+            (x, int(self.target.member(x))) if x in NATURALS else x
+            for x in self.head)
         for ex in head:
-            if self.target.member(ex.value) != bool(ex.label):
+            if not ex.agrees(self.target):
                 raise ValueError(
                     f"head example {ex} contradicts target {self.target}"
                 )
@@ -212,18 +217,9 @@ def canonical_informant(target: UPSet) -> Informant:
 def scheduled_informant(target: UPSet, seed: int = 0, plan: Iterable = ()) -> Informant:
     """Informant that first emits the planned examples, then block-shuffles.
 
-    Plan entries are either bare values (label looked up in the target) or
-    (value, label) pairs, which are rejected if the label is wrong for the
-    target. Repetition in the plan is allowed.
+    Plan entries are head entries of `Informant`; repetition is allowed.
     """
-    head = []
-    for entry in plan:
-        if isinstance(entry, int):
-            head.append(Example(entry, 1 if target.member(entry) else 0))
-        else:
-            value, label = entry
-            head.append(Example(value, int(label)))
-    return Informant(target, tuple(head), "shuffled", seed)
+    return Informant(target, tuple(plan), "shuffled", seed)
 
 
 def prefix(informant: Informant, n: int) -> DataSequence:

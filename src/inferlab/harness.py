@@ -40,10 +40,10 @@ from .combinators import (
     patched_learner,
     to_set_driven,
 )
-from .evidence import ORDERS, Example, Informant, canonical_informant
+from .evidence import ORDERS, Informant, canonical_informant
 from .interaction import EvalContext, Learner, run, with_fresh_labels
 from .restrictions import RESTRICTION_IDS, check, probe_semantic, revalidate
-from .upset import UPSet, parse
+from .upset import NATURALS, UPSet, parse
 
 __all__ = [
     "AdversaryRow",
@@ -141,13 +141,24 @@ def build_pipeline(learner_id: str, combinator_ids=()) -> Learner:
 # ---------------------------------------------------------------------------
 # validation
 
-def _is_natural(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+def _objects(raw, name: str, keys: set, errors):
+    """Yield `(where, entry)` for each entry of the config list `raw` that
+    is an object with no key outside `keys`; report the others."""
+    if not isinstance(raw, list):
+        errors.append(f"{name} must be a list")
+        return
+    for i, entry in enumerate(raw):
+        where = f"{name}[{i}]"
+        if not isinstance(entry, dict):
+            errors.append(f"{where}: must be an object")
+        elif set(entry) - keys:
+            errors.append(f"{where}: unknown keys {sorted(set(entry) - keys)}")
+        else:
+            yield where, entry
 
 
-def _resolve_language_entry(i, entry, errors) -> list[UPSet]:
+def _resolve_language_entry(where, entry, errors) -> list[UPSet]:
     lang_id = entry["language"]
-    where = f"targets[{i}]"
     if not isinstance(lang_id, str):
         errors.append(f"{where}: language id must be a string")
         return []
@@ -174,23 +185,16 @@ def _resolve_language_entry(i, entry, errors) -> list[UPSet]:
     return built
 
 
+_TARGET_KINDS = ("language", "family", "upset")
+
+
 def _resolve_targets(raw, errors) -> tuple[Target, ...]:
-    if not isinstance(raw, list):
-        errors.append("targets must be a list")
-        return ()
     out, seen = [], set()
-    for i, entry in enumerate(raw):
-        where = f"targets[{i}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{where}: must be an object")
-            continue
-        kinds = [k for k in ("language", "family", "upset") if k in entry]
+    for where, entry in _objects(raw, "targets", {*_TARGET_KINDS, "params",
+                                                  "sweep", "count"}, errors):
+        kinds = [k for k in _TARGET_KINDS if k in entry]
         if len(kinds) != 1:
             errors.append(f"{where}: needs exactly one of language/family/upset")
-            continue
-        unknown = set(entry) - {kinds[0], "params", "sweep", "count"}
-        if unknown:
-            errors.append(f"{where}: unknown keys {sorted(unknown)}")
             continue
         scope = "family"
         if kinds[0] == "upset":
@@ -201,11 +205,11 @@ def _resolve_targets(raw, errors) -> tuple[Target, ...]:
                               f"{entry['upset']!r}: {exc}")
                 continue
         elif kinds[0] == "language":
-            sets = _resolve_language_entry(i, entry, errors)
+            sets = _resolve_language_entry(where, entry, errors)
         else:
             family = entry["family"]
             count = entry.get("count", 8)
-            if not _is_natural(count) or count < 1:
+            if count not in NATURALS or count < 1:
                 errors.append(f"{where}: count must be a positive integer")
                 continue
             if family == "*":
@@ -226,19 +230,9 @@ def _resolve_targets(raw, errors) -> tuple[Target, ...]:
 
 
 def _resolve_schedules(raw, errors) -> tuple[Schedule, ...]:
-    if not isinstance(raw, list):
-        errors.append("schedules must be a list")
-        return (Schedule(),)
     out = []
-    for i, entry in enumerate(raw):
-        where = f"schedules[{i}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{where}: must be an object")
-            continue
-        unknown = set(entry) - {"order", "seed", "plan"}
-        if unknown:
-            errors.append(f"{where}: unknown keys {sorted(unknown)}")
-            continue
+    for where, entry in _objects(raw, "schedules", {"order", "seed", "plan"},
+                                 errors):
         order = entry.get("order", "canonical")
         if order not in ORDERS:
             errors.append(f"{where}: unknown order {order!r}; known: "
@@ -255,7 +249,7 @@ def _resolve_schedules(raw, errors) -> tuple[Schedule, ...]:
                           "shuffled order")
             continue
         plan = entry.get("plan", [])
-        if not isinstance(plan, list) or not all(_is_natural(v) for v in plan):
+        if not isinstance(plan, list) or not all(v in NATURALS for v in plan):
             errors.append(f"{where}: plan must be a list of naturals")
             continue
         out.append(Schedule(order, seed, tuple(plan)))
@@ -263,19 +257,10 @@ def _resolve_schedules(raw, errors) -> tuple[Schedule, ...]:
 
 
 def _resolve_adversaries(raw, pipeline, errors) -> tuple[AdversaryRun, ...]:
-    if not isinstance(raw, list):
-        errors.append("adversaries must be a list")
-        return ()
     out = []
-    for i, entry in enumerate(raw):
-        where = f"adversaries[{i}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{where}: must be an object")
-            continue
-        unknown = set(entry) - {"id", "n_search", "t_bound", "rounds"}
-        if unknown:
-            errors.append(f"{where}: unknown keys {sorted(unknown)}")
-            continue
+    for where, entry in _objects(raw, "adversaries",
+                                 {"id", "n_search", "t_bound", "rounds"},
+                                 errors):
         adv = entry.get("id")
         if adv not in ADVERSARY_IDS:
             errors.append(f"{where}: unknown adversary {adv!r}; known: "
@@ -340,7 +325,7 @@ def validate_config(text: str) -> ExperimentConfig:
     schedules = _resolve_schedules(raw.get("schedules", []), errors)
 
     horizon = raw.get("horizon")
-    if not _is_natural(horizon) or horizon < 1:
+    if horizon not in NATURALS or horizon < 1:
         errors.append("horizon must be an integer >= 1")
         horizon = 1
 
@@ -452,12 +437,6 @@ def _seed_override() -> int | None:
         ) from None
 
 
-def _make_informant(target: UPSet, sched: Schedule) -> Informant:
-    head = tuple(Example(v, 1 if target.member(v) else 0)
-                 for v in sched.plan)
-    return Informant(target, head, sched.order, sched.seed or 0)
-
-
 def _adversary_row(w: Witness) -> AdversaryRow:
     v = w.verdict
     return AdversaryRow(
@@ -479,8 +458,9 @@ def _adversary_row(w: Witness) -> AdversaryRow:
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Evaluate every (target, schedule, restriction) cell, then adversaries.
 
-    Cells are independent: each gets a fresh evaluation context seeded the
-    same way, so the report does not depend on evaluation order.
+    Cells are independent: each gets a fresh evaluation context, so the
+    report does not depend on evaluation order. The config seed only
+    goes into the fingerprint.
     """
     override = _seed_override()
     seed = cfg.seed if override is None else override
@@ -493,8 +473,9 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     rows = []
     for target in cfg.targets:
         for sched in schedules:
-            informant = _make_informant(target.upset, sched)
-            seq = run(pipe, informant, cfg.horizon, EvalContext(seed))
+            informant = Informant(target.upset, sched.plan, sched.order,
+                                  sched.seed or 0)
+            seq = run(pipe, informant, cfg.horizon, EvalContext())
             for rid in cfg.restrictions:
                 v = check(rid, seq)
                 rows.append(CheckRow(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import evidence
-from .upset import UPSet
+from .upset import NATURALS, UPSet
 
 
 @dataclass(frozen=True)
@@ -28,11 +28,12 @@ class DelaySchedule:
     add: int = 0
 
     def __post_init__(self):
-        if self.mult < 1 or self.add < 0:
+        if self.mult not in NATURALS or self.add not in NATURALS \
+                or self.mult < 1:
             raise ValueError("delay must dominate the identity")
         seen = {}
         for x, t in self.overrides:
-            if x < 0 or t < x:
+            if x not in NATURALS or t not in NATURALS or t < x:
                 raise ValueError(f"override {x}->{t} enumerates too early")
             if seen.setdefault(x, t) != t:
                 raise ValueError(f"conflicting overrides for {x}")
@@ -57,7 +58,7 @@ class Hypothesis:
     delay: DelaySchedule = DEFAULT_DELAY
 
     def __post_init__(self):
-        if self.label < 0:
+        if self.label not in NATURALS:
             raise ValueError("labels are naturals")
         for x, _ in self.delay.overrides:
             if not self.extension.member(x):
@@ -82,15 +83,13 @@ def stage_enumerate(h: Hypothesis, t: int) -> frozenset[int]:
     )
 
 
-def consistent(e, d) -> bool:
-    """Evidence d neither misses a positive nor includes a negative of e,
-    a `Hypothesis` or a `UPSet`."""
+def consistent(e, d: evidence.Evidence) -> bool:
+    """Every example of the evidence d agrees with e, a `Hypothesis` or a
+    `UPSet`."""
     ext = e.extension if isinstance(e, Hypothesis) else e
     if not isinstance(ext, UPSet):
         raise TypeError(f"no extension for {e!r}")
-    return all(ext.member(x) for x in evidence.pos(d)) and not any(
-        ext.member(x) for x in evidence.neg(d)
-    )
+    return all(ex.agrees(ext) for ex in d.items)
 
 
 _DIGITS = {"0": 1, "1": 2, "|": 3}

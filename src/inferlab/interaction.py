@@ -34,8 +34,7 @@ class EvalContext:
     two supplies never collide.
     """
 
-    def __init__(self, seed: int = 0):
-        self.seed = seed
+    def __init__(self):
         self.memo: dict = {}
         self._counter = 0
 

@@ -106,8 +106,7 @@ class ProbeError(ValueError):
 def _first_conflict(ext: UPSet, informant: Informant, horizon: int) -> int | None:
     """Least presentation index whose datum contradicts the extension."""
     for i in range(horizon):
-        ex = informant.example_at(i)
-        if ext.member(ex.value) != bool(ex.label):
+        if not informant.example_at(i).agrees(ext):
             return i
     return None
 
@@ -200,7 +199,7 @@ def _cons_bad(seq: HypSequence, indices):
         return
     for i in range(fc, n):
         ex = informant.example_at(i)
-        if w.member(ex.value) != bool(ex.label):
+        if not ex.agrees(w):
             yield ex.value
 
 

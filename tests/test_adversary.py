@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import time
 
 import pytest
 
@@ -259,3 +260,14 @@ def test_subprocess_opponent_timeout():
     with SubprocessOpponent([sys.executable, "-c", child], timeout=0.3) as opp:
         with pytest.raises(OpponentError, match="timed out"):
             opp.ask(DataSet(frozenset([(0, 1)])))
+
+
+def test_subprocess_opponent_close_ends_a_silent_child():
+    child = "import sys, time\nsys.stdin.readline()\ntime.sleep(30)"
+    opp = SubprocessOpponent([sys.executable, "-c", child], timeout=0.3)
+    with pytest.raises(OpponentError, match="timed out"):
+        opp.ask(DataSet(frozenset([(0, 1)])))
+    start = time.monotonic()
+    opp.close()
+    assert time.monotonic() - start < 2
+    assert opp._proc.returncode != 0

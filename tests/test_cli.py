@@ -47,6 +47,16 @@ def test_check_exit_one_on_violation_and_expect_flips_it(tmp_path):
     assert flipped.returncode == 0
 
 
+def test_check_exit_two_when_a_bool_stands_for_a_natural(tmp_path):
+    path = write_config(tmp_path, targets=[
+        {"language": "finite", "params": {"elements": [True]}}])
+    proc = run_cli("check", path)
+    assert proc.returncode == 2
+    assert "config error: targets[0]: elements must be a natural" \
+        in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_check_exit_two_on_bad_config(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from inferlab.adversary import Bounds
+from inferlab.catalog import family_instances, language
 from inferlab.evidence import (
     ORDERS,
     DataSequence,
@@ -18,6 +20,7 @@ from inferlab.evidence import (
     prefixes,
     scheduled_informant,
 )
+from inferlab.hypothesis import DelaySchedule, Hypothesis
 from inferlab.upset import EMPTY, NATURALS, UPSet, parse
 
 
@@ -193,3 +196,53 @@ def test_prefixes_validate_each_new_example():
         list(prefixes(_ListedInformant((3, 2)), 1))
     with pytest.raises(ValueError):
         list(prefixes(_ListedInformant((-1, 1)), 1))
+
+
+# ---------------------------------------------------------------------------
+# input rules: a bool is not a natural, a label is the int 0 or 1
+
+_TAKES_A_NATURAL = {
+    "example value": lambda x: DataSequence(((x, 1),)),
+    "hypothesis label": lambda x: Hypothesis(x, NATURALS),
+    "delay mult": lambda x: DelaySchedule(mult=x),
+    "delay add": lambda x: DelaySchedule(add=x),
+    "delay override value": lambda x: DelaySchedule(((x, 5),)),
+    "delay override time": lambda x: DelaySchedule(((0, x),)),
+    "bounds n_search": lambda x: Bounds(n_search=x),
+    "bounds t_bound": lambda x: Bounds(t_bound=x),
+    "bounds rounds": lambda x: Bounds(rounds=x),
+    "segment n": lambda x: language("segment", n=x),
+    "streamZ m": lambda x: language("streamZ", n=0, m=x),
+    "finite element": lambda x: language("finite", elements=[2, x]),
+    "cofinite removal": lambda x: language("cofinite", remove=[x]),
+    "family count": lambda x: family_instances("finite", x),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, -1, "1"], ids=repr)
+@pytest.mark.parametrize("entry", sorted(_TAKES_A_NATURAL))
+def test_every_natural_entry_refuses_non_naturals(entry, bad):
+    with pytest.raises(ValueError):
+        _TAKES_A_NATURAL[entry](bad)
+
+
+@pytest.mark.parametrize("label", [1.7, 0.9, "1", None, True], ids=repr)
+def test_labels_are_the_ints_zero_and_one(label):
+    with pytest.raises(ValueError, match="label must be 0 or 1"):
+        DataSequence(((3, label),))
+    with pytest.raises(ValueError, match="label must be 0 or 1"):
+        DataSet({(3, label)})
+    with pytest.raises(ValueError, match="label must be 0 or 1"):
+        Informant(NATURALS, ((3, label),))
+
+
+def test_an_example_is_a_value_label_pair():
+    with pytest.raises(ValueError, match="pair"):
+        DataSequence((5,))
+    with pytest.raises(ValueError, match="pair"):
+        DataSet({5})
+    with pytest.raises(ValueError, match="pair"):
+        Informant(NATURALS, (True,))
+    # a bare natural in the head takes its label from the target
+    assert Informant(parse("|10"), (4, (3, 0))).head == (
+        Example(4, 1), Example(3, 0))

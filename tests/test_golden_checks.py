@@ -15,7 +15,8 @@ import json
 from pathlib import Path
 
 from inferlab.catalog import FAMILY_IDS, LEARNER_IDS, family_instances, learner
-from inferlab.harness import Schedule, _make_informant
+from inferlab.evidence import Informant
+from inferlab.harness import Schedule
 from inferlab.interaction import EvalContext, run
 from inferlab.restrictions import check_all
 
@@ -43,8 +44,8 @@ def golden_cells() -> dict[str, list]:
     for lid in LEARNER_IDS:
         for target in _targets():
             for sched in SCHEDULES:
-                seq = run(learner(lid), _make_informant(target, sched),
-                          HORIZON, EvalContext(0))
+                seq = run(learner(lid), Informant(target, sched.plan,
+                          sched.order, sched.seed or 0), HORIZON, EvalContext())
                 cells[f"{lid} {target} {sched.label()}"] = [
                     [v.restriction, v.satisfied, list(v.indices), v.element,
                      v.detail] for v in check_all(seq).values()]

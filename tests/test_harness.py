@@ -77,6 +77,14 @@ def test_all_errors_collected():
         assert fragment in text
 
 
+def test_list_entries_with_unknown_keys_name_them():
+    for key, entry in (("targets", {"langauge": "finite"}),
+                       ("schedules", {"order": "canonical", "sed": 3}),
+                       ("adversaries", {"id": "caut_tar", "round": 3})):
+        with pytest.raises(ConfigError, match=f"{key}\\[0\\]: unknown keys"):
+            validate_config(_config(**{key: [entry]}))
+
+
 def test_config_is_not_json():
     with pytest.raises(ConfigError, match="not valid JSON"):
         validate_config("learner: cofinite")

@@ -36,7 +36,6 @@ from .evidence import (
     outline,
     pos,
     prefix,
-    scheduled_informant,
 )
 from .hypothesis import (
     DEFAULT_DELAY,

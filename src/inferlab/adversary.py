@@ -70,7 +70,6 @@ DEFAULT_BOUNDS = Bounds()
 
 @dataclass(frozen=True)
 class MindchangeRound:
-    index: int
     b: int
     t: int
     probe: int  # the fresh number offered this round
@@ -110,14 +109,13 @@ class _Game:
 
     Each step either returns what the game needs next or raises `_Stop`
     with an exhausted witness, so a game reads as straight-line code. The
-    mindchange game plays no target and uses only the opponent, bounds,
-    context and `_witness`.
+    mindchange game plays no target and uses only the opponent, bounds
+    and `_witness`.
     """
 
     adversary: str
     opponent: Learner
     bounds: Bounds
-    ctx: EvalContext | None
     commitments: list[tuple[int, UPSet]] = field(default_factory=list)
     params: list[tuple[str, int]] = field(default_factory=list)
     informant: Informant | None = None
@@ -142,7 +140,7 @@ class _Game:
         """Run the opponent on the target; every commitment must replay."""
         self.informant = canonical_informant(target)
         self.horizon = horizon
-        self.seq = run(self.opponent, self.informant, horizon, self.ctx)
+        self.seq = run(self.opponent, self.informant, horizon)
         if any(self.seq[i].extension != ext for i, ext in self.commitments):
             at = "at" if len(self.commitments) == 1 else "before"
             raise _Stop(self._witness("exhausted", "stage replay diverged"
@@ -293,15 +291,25 @@ def _succ(d: DataSet, p: int, t: int) -> DataSet:
     return content(prefix(canonical_informant(target), p + t))
 
 
+def _fresh(d: DataSet) -> int:
+    """The first of the two fresh numbers a round offers: past all of d."""
+    return max(outline(d), default=-1) + 1
+
+
+def _split(d: DataSet) -> tuple[UPSet, UPSet]:
+    """The two targets a round can grow: pos(d) plus either fresh number."""
+    return tuple(from_elements(pos(d) | {_fresh(d) + b}) for b in (0, 1))
+
+
 def _label_flip(opponent: Learner, d: DataSet, label: int, t_bound: int, ctx):
     """First (b, t, probe, new label, grown data) that changes `label`."""
-    top = max(outline(d), default=-1)
+    p0 = _fresh(d)
     for b in (0, 1):
         for t in range(t_bound + 1):
-            cand = _succ(d, top + 1 + b, t)
+            cand = _succ(d, p0 + b, t)
             after = opponent.fn(cand, ctx).label
             if after != label:
-                return b, t, top + 1 + b, after, cand
+                return b, t, p0 + b, after, cand
     return None
 
 
@@ -315,7 +323,7 @@ def _mindchange(g: _Game) -> Witness:
     """
     if g.opponent.kind != "Sd":
         raise OpponentError("mindchange driver needs a set-driven opponent")
-    ctx = EvalContext() if g.ctx is None else g.ctx
+    ctx = EvalContext()
     rounds, t_bound = g.bounds.rounds, g.bounds.t_bound
     d = DataSet(frozenset())
     transcript: list[MindchangeRound] = []
@@ -323,16 +331,14 @@ def _mindchange(g: _Game) -> Witness:
         before = g.opponent.fn(d, ctx).label
         found = _label_flip(g.opponent, d, before, t_bound, ctx)
         if found is None:
-            p0 = max(outline(d), default=-1) + 1
-            p1 = p0 + 1
-            split = (from_elements(pos(d) | {p0}), from_elements(pos(d) | {p1}))
+            p0 = _fresh(d)
             return g._witness(
                 "split-pair", f"label never changed over {t_bound + 1} probe"
                 " depths for either fresh element; one conjecture cannot fit"
-                " both targets", split=split, data=d,
-                params=(("p0", p0), ("p1", p1), ("round", k)))
+                " both targets", split=_split(d), data=d,
+                params=(("p0", p0), ("p1", p0 + 1), ("round", k)))
         b, t, p, after, cand = found
-        transcript.append(MindchangeRound(k, b, t, p, before, after))
+        transcript.append(MindchangeRound(b, t, p, before, after))
         d = cand
     return g._witness("mindchange-transcript", f"forced {rounds} mind changes",
                       transcript=tuple(transcript), data=d,
@@ -357,7 +363,6 @@ def run_adversary(
     adversary_id: str,
     opponent: Learner,
     bounds: Bounds = DEFAULT_BOUNDS,
-    ctx: EvalContext | None = None,
 ) -> Witness:
     """Play one registered adversary by id."""
     game = _GAMES.get(adversary_id)
@@ -365,7 +370,7 @@ def run_adversary(
         raise ValueError(f"unknown adversary {adversary_id!r};"
                          f" known: {', '.join(ADVERSARY_IDS)}")
     try:
-        return game(_Game(adversary_id, opponent, bounds, ctx))
+        return game(_Game(adversary_id, opponent, bounds))
     except _Stop as stop:
         return stop.args[0]
 
@@ -383,28 +388,27 @@ def verify_witness(w: Witness) -> bool:
         seq = run(w.opponent_ref, w.informant, w.horizon, ctx)
         return revalidate(w.verdict, seq)
     if w.kind == "mindchange-transcript":
-        if not w.transcript:
+        if not w.transcript or w.params != (("rounds", len(w.transcript)),):
             return False
         d = DataSet(frozenset())
         for r in w.transcript:
             before = w.opponent_ref.fn(d, ctx).label
             if before != r.label_before:
                 return False
-            if r.probe != max(outline(d), default=-1) + 1 + r.b:
+            if r.probe != _fresh(d) + r.b:
                 return False
             cand = _succ(d, r.probe, r.t)
             after = w.opponent_ref.fn(cand, ctx).label
             if after != r.label_after or after == before:
                 return False
             d = cand
-        return True
-    if w.kind == "split-pair":
-        if w.data is None or w.split is None or w.split[0] == w.split[1]:
-            return False
-        base = w.opponent_ref.fn(w.data, ctx).label
-        return _label_flip(w.opponent_ref, w.data, base, w.bounds.t_bound,
-                           ctx) is None
-    return False
+        return d == w.data
+    # split-pair: no probe of either grown target changes the label
+    if w.data is None or w.split != _split(w.data):
+        return False
+    base = w.opponent_ref.fn(w.data, ctx).label
+    return _label_flip(w.opponent_ref, w.data, base, w.bounds.t_bound,
+                       ctx) is None
 
 
 # ---------------------------------------------------------------------------

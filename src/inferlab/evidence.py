@@ -214,14 +214,6 @@ def canonical_informant(target: UPSet) -> Informant:
     return Informant(target)
 
 
-def scheduled_informant(target: UPSet, seed: int = 0, plan: Iterable = ()) -> Informant:
-    """Informant that first emits the planned examples, then block-shuffles.
-
-    Plan entries are head entries of `Informant`; repetition is allowed.
-    """
-    return Informant(target, tuple(plan), "shuffled", seed)
-
-
 def prefix(informant: Informant, n: int) -> DataSequence:
     return DataSequence(tuple(informant.example_at(i) for i in range(n)))
 

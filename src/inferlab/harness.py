@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import os
 import typing
 from dataclasses import dataclass
 
@@ -54,7 +53,6 @@ __all__ = [
     "Fingerprint",
     "Report",
     "Schedule",
-    "SEED_ENV",
     "Target",
     "build_pipeline",
     "demo_scenarios",
@@ -68,8 +66,6 @@ __all__ = [
     "validate_config",
     "witness_found",
 ]
-
-SEED_ENV = "INFERLAB_SEED"
 
 _EXPECTS = ("satisfied", "witness")
 
@@ -413,7 +409,6 @@ class Fingerprint:
     version: str
     seed: int
     schedule_seeds: tuple[int, ...] = ()
-    seed_override: int | None = None
 
 
 @dataclass(frozen=True)
@@ -423,18 +418,6 @@ class Report:
     rows: tuple[CheckRow, ...] = ()
     adversaries: tuple[AdversaryRow, ...] = ()
     fingerprint: Fingerprint = Fingerprint(__version__, 0)
-
-
-def _seed_override() -> int | None:
-    text = os.environ.get(SEED_ENV)
-    if text is None:
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(
-            [f"{SEED_ENV} must be an integer, got {text!r}"]
-        ) from None
 
 
 def _adversary_row(w: Witness) -> AdversaryRow:
@@ -462,17 +445,11 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     report does not depend on evaluation order. The config seed only
     goes into the fingerprint.
     """
-    override = _seed_override()
-    seed = cfg.seed if override is None else override
-    schedules = cfg.schedules if override is None else tuple(
-        dataclasses.replace(s, seed=override) if s.seed is not None else s
-        for s in cfg.schedules
-    )
     pipe = cfg.pipeline()
 
     rows = []
     for target in cfg.targets:
-        for sched in schedules:
+        for sched in cfg.schedules:
             informant = Informant(target.upset, sched.plan, sched.order,
                                   sched.seed or 0)
             seq = run(pipe, informant, cfg.horizon, EvalContext())
@@ -500,10 +477,9 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     )
     fingerprint = Fingerprint(
         version=__version__,
-        seed=seed,
-        schedule_seeds=tuple(sorted({s.seed for s in schedules
+        seed=cfg.seed,
+        schedule_seeds=tuple(sorted({s.seed for s in cfg.schedules
                                      if s.seed is not None})),
-        seed_override=override,
     )
     return Report((cfg.learner_id, *cfg.combinator_ids), cfg.horizon,
                   tuple(rows), adversaries, fingerprint)
@@ -637,9 +613,7 @@ def render_report(report: Report, mode: str = "text") -> str:
         f"pipeline: {' -> '.join(report.pipeline)}",
         f"horizon: {report.horizon}",
         f"version: {fp.version}",
-        f"seed: {fp.seed}" + (
-            f" (override {fp.seed_override})"
-            if fp.seed_override is not None else ""),
+        f"seed: {fp.seed}",
         f"checks: {len(report.rows)} ({violated} violated)",
         f"adversaries: {len(report.adversaries)} ({witnesses} witnesses)",
         "",

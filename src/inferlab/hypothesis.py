@@ -92,19 +92,20 @@ def consistent(e, d: evidence.Evidence) -> bool:
     return all(ex.agrees(ext) for ex in d.items)
 
 
-_DIGITS = {"0": 1, "1": 2, "|": 3}
+_DIGITS = str.maketrans("01|", "123")
 
 
 def extension_label(u: UPSet) -> int:
-    """Even label read off the extension's description; injective."""
-    n = 0
-    for ch in str(u):
-        n = 4 * n + _DIGITS[ch]
-    return 2 * n
+    """Even label read off the extension's description; injective.
+
+    The description is read as a base-4 numeral over the digits 1-3, so no
+    leading digit is 0 and distinct descriptions give distinct numbers.
+    """
+    return 2 * int(str(u).translate(_DIGITS), 4)
 
 
-def hypothesis_for(u: UPSet, delay: DelaySchedule = DEFAULT_DELAY) -> Hypothesis:
-    return Hypothesis(extension_label(u), u, delay)
+def hypothesis_for(u: UPSet) -> Hypothesis:
+    return Hypothesis(extension_label(u), u)
 
 
 def format_hypothesis(h: Hypothesis) -> str:

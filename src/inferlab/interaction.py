@@ -9,8 +9,10 @@ the learner gets to see at step n of an informant presentation:
   It   only its previous hypothesis and the n-th example
 
 Iterative runs start from a designated empty-extension hypothesis, so the
-hypothesis stream is total from step 0 in every mode. `_handed` alone says
-what a G, Psd or Sd learner is handed; every mode passes the context last.
+hypothesis stream is total from step 0 in every mode. Every mode reads the
+informant through `evidence.prefixes`, so every mode refuses the same bad
+informants. `_handed` alone says what a G, Psd or Sd learner is handed;
+every mode passes the context last.
 """
 
 from __future__ import annotations
@@ -100,15 +102,12 @@ def run(
     if ctx is None:
         ctx = EvalContext()
     items: list[Hypothesis] = []
-    if learner.kind == "It":
-        h = INITIAL_HYPOTHESIS
-        items.append(h)
-        for i in range(1, horizon + 1):
-            h = learner.fn(h, informant.example_at(i - 1), ctx)
-            items.append(h)
-    else:
-        for d, dset in prefixes(informant, horizon):
+    for d, dset in prefixes(informant, horizon):
+        if learner.kind != "It":
             items.append(learner.fn(*_handed(learner.kind, d, dset), ctx))
+        else:
+            items.append(learner.fn(items[-1], d[-1], ctx) if d
+                         else INITIAL_HYPOTHESIS)
     return HypSequence(tuple(items), learner.name, informant)
 
 

@@ -32,10 +32,10 @@ from inferlab.combinators import (
     to_set_driven,
 )
 from inferlab.evidence import (
+    Informant,
     canonical_informant,
     content,
     prefix,
-    scheduled_informant,
 )
 from inferlab.hypothesis import consistent, hypothesis_for
 from inferlab.interaction import (
@@ -81,7 +81,7 @@ def _random_description(rng) -> tuple[str, str]:
 
 def _informants(target, seeds):
     return [canonical_informant(target)] + \
-        [scheduled_informant(target, seed=s) for s in seeds]
+        [Informant(target, (), "shuffled", s) for s in seeds]
 
 
 def test_upset_oracle_equivalence(announce):
@@ -114,7 +114,7 @@ def test_patch_lemmas(announce):
     for i in range(1000):
         u = UPSet(*_random_description(rng))
         informant = canonical_informant(u) if rng.random() < 0.5 \
-            else scheduled_informant(u, seed=rng.randrange(100))
+            else Informant(u, (), "shuffled", rng.randrange(100))
         d = prefix(informant, rng.randrange(0, 25))
         e = hypothesis_for(u)
         patched = patch(e, d, ctx)
@@ -199,7 +199,7 @@ def test_canonical_reduction_identity(announce):
         lid = rng.choice(LEARNER_IDS)
         target = rng.choice(family_instances(rng.choice(FAMILY_IDS), 6))
         informant = canonical_informant(target) if rng.random() < 0.3 \
-            else scheduled_informant(target, seed=rng.randrange(50))
+            else Informant(target, (), "shuffled", rng.randrange(50))
         d = content(prefix(informant, rng.randrange(0, 31)))
         got = to_set_driven(learner(lid)).fn(d, EvalContext())
         replay = prefix(canonical_informant(target), prefix_length(d))
@@ -319,7 +319,7 @@ def test_bc_ex_observability(announce):
         lid = rng.choice(LEARNER_IDS)
         target = rng.choice(family_instances(_HOME[lid], 4))
         informant = canonical_informant(target) if rng.random() < 0.5 \
-            else scheduled_informant(target, seed=rng.randrange(40))
+            else Informant(target, (), "shuffled", rng.randrange(40))
         a = run(learner(lid), informant, 12, EvalContext())
         b = run(with_fresh_labels(learner(lid)), informant, 12, EvalContext())
         if not probe_semantic(a, b):

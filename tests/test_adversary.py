@@ -189,6 +189,61 @@ def test_tampered_witnesses_fail_verification():
     assert not verify_witness(dataclasses.replace(m, transcript=forged))
 
 
+def _mindchange_transcript():
+    return run_adversary("mindchange", learner("maxpos"),
+                         Bounds(t_bound=5, rounds=3))
+
+
+def _split_pair():
+    return run_adversary("mindchange", learner("constant_empty"),
+                         Bounds(t_bound=6, rounds=4))
+
+
+def _violation():
+    return run_adversary("smon_vs_dual", learner("fin_pos"))
+
+
+def _first_round(w, **changes):
+    return (dataclasses.replace(w.transcript[0], **changes), *w.transcript[1:])
+
+
+_TAMPERED = {
+    "transcript cut to one round": (_mindchange_transcript, lambda w: {
+        "transcript": w.transcript[:1]}),
+    "params claim nine rounds": (_mindchange_transcript, lambda w: {
+        "params": (("rounds", 9),)}),
+    "cut transcript with matching params": (_mindchange_transcript, lambda w: {
+        "transcript": w.transcript[:1], "params": (("rounds", 1),)}),
+    "mindchange data dropped": (_mindchange_transcript, lambda w: {
+        "data": None}),
+    "empty transcript": (_mindchange_transcript, lambda w: {
+        "transcript": (), "params": (("rounds", 0),)}),
+    "label before a round": (_mindchange_transcript, lambda w: {
+        "transcript": _first_round(w, label_before=7)}),
+    "probe of a round": (_mindchange_transcript, lambda w: {
+        "transcript": _first_round(w, probe=w.transcript[0].probe + 2)}),
+    "split replaced": (_split_pair, lambda w: {
+        "split": (parse("11|0"), parse("001|0"))}),
+    "split of one set twice": (_split_pair, lambda w: {
+        "split": (w.split[0], w.split[0])}),
+    "split data dropped": (_split_pair, lambda w: {"data": None}),
+    "no opponent to replay": (_violation, lambda w: {"opponent_ref": None}),
+    "violation without informant": (_violation, lambda w: {
+        "informant": None}),
+    "violation without verdict": (_violation, lambda w: {"verdict": None}),
+    "violation marked satisfied": (_violation, lambda w: {
+        "verdict": dataclasses.replace(w.verdict, satisfied=True)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TAMPERED))
+def test_verify_witness_refuses_tampering(case):
+    play, changes = _TAMPERED[case]
+    w = play()
+    assert w.kind != "exhausted" and verify_witness(w)
+    assert not verify_witness(dataclasses.replace(w, **changes(w)))
+
+
 def test_run_adversary_dispatch_and_determinism():
     a = run_adversary("mon_vs_dual", learner("stream_mon"))
     b = run_adversary("mon_vs_dual", learner("stream_mon"))

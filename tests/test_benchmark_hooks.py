@@ -7,9 +7,13 @@ which this suite does not run. These tests read the tracer's own tables.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from inferlab import restrictions
+from inferlab.evidence import Informant
+from inferlab.hypothesis import DelaySchedule
+from inferlab.interaction import EvalContext, Learner, run
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
@@ -39,3 +43,15 @@ def test_traced_caches_report_their_counts():
     for name in _tracing().CACHED_UPSET:
         assert getattr(upset, name).cache_info() is not None, name
     assert restrictions._first_conflict.cache_info() is not None
+
+
+def test_patched_methods_and_run_wrapper_still_fit():
+    # the tracer patches these two methods on their classes
+    assert callable(getattr(Informant, "example_at", None))
+    assert callable(getattr(DelaySchedule, "of", None))
+    # its `run` wrapper passes these four positionally, reads `ctx.memo`
+    # and rebuilds the learner as `Learner(name, kind, fn)`
+    assert tuple(inspect.signature(run).parameters) == (
+        "learner", "informant", "horizon", "ctx")
+    assert hasattr(EvalContext(), "memo")
+    assert Learner("traced", "G", lambda d, ctx: None).kind == "G"

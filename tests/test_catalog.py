@@ -15,8 +15,8 @@ from inferlab.catalog import (
 from inferlab.evidence import (
     DataSet,
     DataSequence,
+    Informant,
     canonical_informant,
-    scheduled_informant,
 )
 from inferlab.hypothesis import hypothesis_for
 from inferlab.interaction import run
@@ -211,7 +211,7 @@ _VIOLATION_WITNESSES = [
     ("cofinite", "caut_inf", lambda: canonical_informant(parse("10|1")), 4),
     ("cofinite", "caut_tar", lambda: canonical_informant(parse("10|1")), 4),
     ("maxpos", "ex",
-     lambda: scheduled_informant(from_elements({3, 5}), plan=[(5, 1)]), 10),
+     lambda: Informant(from_elements({3, 5}), ((5, 1),), "shuffled", 0), 10),
     ("segment", "smon", lambda: canonical_informant(from_elements({0, 1})), 5),
     ("segment", "caut_fin", lambda: canonical_informant(from_elements({0, 1})), 5),
     ("segment", "caut_tar", lambda: canonical_informant(from_elements({0, 1})), 5),
@@ -224,7 +224,7 @@ _VIOLATION_WITNESSES = [
     ("stream_mon", "mon_b",
      lambda: canonical_informant(language("streamZ", n=1, m=2)), 9),
     ("even_dualmon", "cons",
-     lambda: scheduled_informant(language("evenY", n=1), plan=[(3, 1)]), 3),
+     lambda: Informant(language("evenY", n=1), ((3, 1),), "shuffled", 0), 3),
     ("even_dualmon", "mon",
      lambda: canonical_informant(language("evenZ", n=1, m=2)), 5),
     ("even_dualmon", "mon_b",
@@ -250,7 +250,7 @@ def test_advertised_satisfactions_hold():
         for target in family_instances(entry.family, 5):
             for informant in (
                 canonical_informant(target),
-                scheduled_informant(target, seed=1),
+                Informant(target, (), "shuffled", 1),
             ):
                 verdicts = check_all(run(lad, informant, 30))
                 for rid in entry.satisfies:

@@ -160,12 +160,13 @@ def test_demo_command():
     assert "12/12 scenarios hold" in proc.stdout
 
 
-def test_seed_override_env(tmp_path):
+def test_report_depends_on_its_config_alone(tmp_path):
     import os
     path = write_config(tmp_path, expect="witness",
                         schedules=[{"order": "shuffled", "seed": 3}])
-    env = dict(os.environ, INFERLAB_SEED="9")
-    proc = run_cli("check", path, "--mode", "machine", env=env)
-    assert proc.returncode == 0
-    report = parse_report(proc.stdout)
-    assert report.fingerprint.seed_override == 9
+    plain = run_cli("check", path, "--mode", "machine")
+    seeded = run_cli("check", path, "--mode", "machine",
+                     env=dict(os.environ, INFERLAB_SEED="9"))
+    assert plain.returncode == seeded.returncode == 0
+    assert seeded.stdout == plain.stdout
+    assert parse_report(plain.stdout).fingerprint.schedule_seeds == (3,)

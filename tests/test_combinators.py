@@ -30,7 +30,6 @@ from inferlab.evidence import (
     parse_sequence,
     pos,
     prefix,
-    scheduled_informant,
 )
 from inferlab.hypothesis import DelaySchedule, Hypothesis, hypothesis_for
 from inferlab.interaction import (
@@ -226,7 +225,7 @@ def test_fourcase_repeats_blown_up_conjecture():
 
 def test_fourcase_ignores_repeated_data():
     wrapped = cons_wmon_fourcase(G_FIN_POS)
-    inf = scheduled_informant(parse("10|1"), seed=3, plan=[0, 1, 0])
+    inf = Informant(parse("10|1"), (0, 1, 0), "shuffled", 3)
     ctx = EvalContext()
     seq = run(wrapped, inf, 3, ctx)
     # the third datum repeats the first, so the answer is reused verbatim
@@ -269,7 +268,7 @@ def _work(monkeypatch, wrap, base_id, informant, horizon):
 ], ids=("cons_wmon", "fourcase", "dual_wmon_poison"))
 def test_wrappers_make_a_linear_number_of_base_calls(monkeypatch, wrap,
                                                      base_id):
-    inf = scheduled_informant(parse("110|1"), seed=4, plan=[3, 3, 0, 5, 0])
+    inf = Informant(parse("110|1"), (3, 3, 0, 5, 0), "shuffled", 4)
     counts = []
     for h in (100, 200):
         calls, validated = _work(monkeypatch, wrap, base_id, inf, h)

@@ -18,7 +18,6 @@ from inferlab.evidence import (
     pos,
     prefix,
     prefixes,
-    scheduled_informant,
 )
 from inferlab.hypothesis import DelaySchedule, Hypothesis
 from inferlab.upset import EMPTY, NATURALS, UPSet, parse
@@ -139,18 +138,18 @@ def test_coverage_index_bound(seed, value):
 
 def test_scheduled_informant_plan():
     L = parse("|10")
-    inf = scheduled_informant(L, seed=0, plan=[4, (3, 0), 4])
+    inf = Informant(L, (4, (3, 0), 4), "shuffled", 0)
     assert [inf.example_at(i) for i in range(3)] == [
         Example(4, 1),
         Example(3, 0),
         Example(4, 1),
     ]
     with pytest.raises(ValueError):
-        scheduled_informant(L, plan=[(3, 1)])
+        Informant(L, ((3, 1),), "shuffled", 0)
 
 
 def test_prefix_is_monotone():
-    inf = scheduled_informant(parse("1|0"), seed=9, plan=[0, 5])
+    inf = Informant(parse("1|0"), (0, 5), "shuffled", 9)
     long = prefix(inf, 20)
     for n in range(20):
         assert prefix(inf, n).items == long.items[:n]
@@ -168,7 +167,7 @@ _TARGETS = ("|0", "|1", "10|1", "0110|10", "1|0", "|100", "111|0")
 )
 def test_prefixes_match_rebuilt_prefixes(order, text, seed, plan, horizon):
     target = parse(text)
-    head = scheduled_informant(target, seed=seed, plan=plan).head
+    head = Informant(target, tuple(plan), "shuffled", seed).head
     inf = Informant(target, head, order, seed)
     expected = [(prefix(inf, n), content(prefix(inf, n)))
                 for n in range(horizon + 1)]

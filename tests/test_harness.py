@@ -12,7 +12,6 @@ from inferlab.harness import (
     Fingerprint,
     Report,
     Schedule,
-    SEED_ENV,
     demo_scenarios,
     exit_code,
     parse_report,
@@ -274,21 +273,6 @@ def test_violation_rendering_shows_extension():
     text = render_report(run_experiment(validate_config(_config())))
     assert "VIOLATED at (0,); element 1; extensions |1" in text
     assert "outcome: witness found" in text
-
-
-def test_seed_env_overrides_config(monkeypatch):
-    cfg = validate_config(_config(
-        seed=4, schedules=[{"order": "shuffled", "seed": 3}],
-        restrictions=["bc"]))
-    monkeypatch.setenv(SEED_ENV, "9")
-    report = run_experiment(cfg)
-    assert report.fingerprint.seed == 9
-    assert report.fingerprint.seed_override == 9
-    assert report.fingerprint.schedule_seeds == (9,)
-    assert {r.informant for r in report.rows} == {"shuffled[seed=9]"}
-    monkeypatch.setenv(SEED_ENV, "many")
-    with pytest.raises(ConfigError, match="must be an integer"):
-        run_experiment(cfg)
 
 
 def test_demo_scenarios_all_hold():

@@ -11,7 +11,7 @@ from inferlab.hypothesis import (
     format_hypothesis,
     stage_enumerate,
 )
-from inferlab.upset import EMPTY, parse
+from inferlab.upset import EMPTY, UPSet, parse
 
 
 def test_default_delay_is_identity():
@@ -96,6 +96,21 @@ def test_extension_label_is_even_and_injective_on_samples():
     assert len(set(labels)) == len(labels)
     # EMPTY prints as |0, two base-4 digits 3 then 1
     assert extension_label(EMPTY) == 2 * (4 * 3 + 1)
+
+
+def _label_by_digits(u) -> int:
+    """Reference: the description read as base-4 digits, one at a time."""
+    n = 0
+    for ch in str(u):
+        n = 4 * n + {"0": 1, "1": 2, "|": 3}[ch]
+    return 2 * n
+
+
+@given(st.text(alphabet="01", max_size=10),
+       st.text(alphabet="01", min_size=1, max_size=8))
+def test_extension_label_matches_the_digit_loop(prefix, period):
+    u = UPSet(prefix, period)
+    assert extension_label(u) == _label_by_digits(u)
 
 
 def test_format_parse_round_trip():

@@ -9,7 +9,6 @@ from inferlab.evidence import (
     content,
     pos,
     prefix,
-    scheduled_informant,
 )
 from inferlab.hypothesis import Hypothesis, hypothesis_for
 from inferlab.interaction import (
@@ -72,7 +71,7 @@ def test_run_on_sd_learner_tracks_positives():
 
 
 def test_run_is_deterministic_and_prefix_coherent():
-    inf = scheduled_informant(parse("1|0"), seed=5, plan=[0, (2, 0)])
+    inf = Informant(parse("1|0"), (0, (2, 0)), "shuffled", 5)
     long = run(FIN_POS, inf, 12)
     again = run(FIN_POS, inf, 12)
     short = run(FIN_POS, inf, 7)
@@ -150,7 +149,7 @@ _PIPELINES = (
 
 _INFORMANTS = (
     canonical_informant(parse("10|1")),
-    scheduled_informant(parse("1|0"), seed=5, plan=[0, (2, 0), 0]),
+    Informant(parse("1|0"), (0, (2, 0), 0), "shuffled", 5),
     Informant(parse("|10"), (Example(4, 1), Example(1, 0)), "fresh"),
 )
 
@@ -178,8 +177,37 @@ def test_run_enumerates_the_informant_once(lrn, monkeypatch):
         return example_at(self, i)
 
     monkeypatch.setattr(Informant, "example_at", counted)
-    inf = scheduled_informant(parse("10|1"), seed=2, plan=[3, 3])
+    inf = Informant(parse("10|1"), (3, 3), "shuffled", 2)
     for horizon in (0, 1, 40):
         calls.clear()
         run(lrn, inf, horizon)
         assert calls == list(range(horizon))
+
+
+class _ListedInformant:
+    """Shows the listed items as they are, checked by nothing."""
+
+    def __init__(self, *examples):
+        self.examples = examples
+
+    def example_at(self, i):
+        return self.examples[i]
+
+
+_BAD_INFORMANTS = {
+    "two labels for one value": (Example(4, 1), Example(4, 0)),
+    "label two": ((3, 2),),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_INFORMANTS))
+@pytest.mark.parametrize("lrn", (
+    Learner("first", "G", lambda d, ctx: INITIAL_HYPOTHESIS),
+    LENGTH_AWARE,
+    FIN_POS,
+    IT_COLLECT,
+), ids=lambda lrn: lrn.kind)
+def test_every_mode_refuses_a_bad_informant(lrn, bad):
+    items = _BAD_INFORMANTS[bad]
+    with pytest.raises(ValueError):
+        run(lrn, _ListedInformant(*items), len(items))

@@ -26,7 +26,7 @@ from .evidence import (DataSet, Informant, canonical_informant, content,
                        format_sequence, outline, pos, prefix)
 from .hypothesis import Hypothesis
 from .interaction import EvalContext, HypSequence, Learner, run
-from .restrictions import Verdict, check, revalidate
+from .restrictions import Verdict, check, revalidate, violation
 from .upset import (NATURALS, UPSet, complement, difference, from_elements,
                     min_element, parse, union)
 
@@ -220,10 +220,8 @@ def _smon_vs_dual(g: _Game) -> Witness:
     g.play(union(base, from_elements({x})), x + 1 + g.bounds.t_bound)
     t = g.first(lambda ext: ext.member(x), "opponent never admitted the fresh"
                 f" element {x}; bc on the grown target", n0 + 1)
-    verdict = Verdict("smon_d", False, (n0, t), x, f"conjecture at {t}"
-                      f" gained {x} over the conjecture at {n0}")
-    return g.found(verdict, f"committed to {base} at {n0}, grew by the"
-                            f" unseen {x} at {t}")
+    return g.found(violation("smon_d", g.seq, (n0, t), x),
+                   f"committed to {base} at {n0}, grew by the unseen {x} at {t}")
 
 
 def _dual_vs_smon(g: _Game) -> Witness:
@@ -233,10 +231,9 @@ def _dual_vs_smon(g: _Game) -> Witness:
     t = g.first(lambda ext: ext != NATURALS, "opponent clung to the naturals"
                 " on a segment target; bc there", n0 + 1)
     element = min_element(difference(NATURALS, g.seq[t].extension))
-    verdict = Verdict("smon", False, (n0, t), element, f"conjecture at {t}"
-                      f" lost {element} against the naturals at {n0}")
-    return g.found(verdict, f"guessed the naturals at {n0}, then had to"
-                            " shrink onto the segment")
+    return g.found(violation("smon", g.seq, (n0, t), element),
+                   f"guessed the naturals at {n0}, then had to shrink onto"
+                   " the segment")
 
 
 _THREE_STAGE = {
@@ -269,15 +266,10 @@ def _three_stage(g: _Game) -> Witness:
     n_z = g.commit("n_z", top, "opponent never conjectured the third tier"
                                f" (n={n}, m={m}) within {g.horizon} steps",
                    n_y + 1)
-    if g.adversary == "mon_vs_dual":
-        element = 3 * m + 4  # the b past the cut: in Y_n, in neither X nor Z
-        detail = (f"conjecture at {n_y} includes {element}, which the target"
-                  f" and the conjecture at {n_x} both exclude")
-    else:
-        element = 2 * m  # in X and in Z, but dropped by Y_n
-        detail = (f"conjecture at {n_y} drops the target element {element}"
-                  f" that the conjecture at {n_x} still carried")
-    return g.found(Verdict(rid, False, (n_x, n_y), element, detail),
+    # mon_vs_dual: the b past the cut, in Y_n but in neither X nor Z;
+    # dual_vs_mon: in X and in Z, but dropped by Y_n
+    element = 3 * m + 4 if g.adversary == "mon_vs_dual" else 2 * m
+    return g.found(violation(rid, g.seq, (n_x, n_y), element),
                    f"walked the opponent through all three tiers (n={n},"
                    f" m={m}, settling at {n_z})")
 
@@ -437,7 +429,7 @@ class SubprocessOpponent:
         self.timeout = timeout
         self._proc = subprocess.Popen(
             argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            text=True, bufsize=1,
+            text=True, bufsize=1, errors="replace",
         )
         self._lines: queue.Queue = queue.Queue()
         threading.Thread(target=self._pump, daemon=True).start()

@@ -225,8 +225,9 @@ def prefixes(
 
     Each index is enumerated once and each new example is validated once,
     against the running content, so every yielded prefix keeps the
-    evidence invariant without being checked again in full. Only the copy
-    of the items into each new immutable prefix grows with n.
+    evidence invariant without being checked again in full. Each step
+    copies the items into a new immutable prefix, and into a new content
+    when the example is new, so a pass is quadratic in `horizon`.
     """
     d = _trusted(DataSequence, ())
     dset = _trusted(DataSet, frozenset())

@@ -92,10 +92,11 @@ def run(
 ) -> HypSequence:
     """Evaluate the learner on prefixes 0..horizon of the informant.
 
-    The informant is enumerated and validated once, one example per step,
-    so the run's own cost is linear in `horizon`, apart from copying each
-    step's prefix into the immutable evidence the learner is handed. What
-    the learner does with each prefix comes on top of that.
+    The informant is enumerated and validated once, one example per step.
+    Each step copies the prefix, and the content when it grows, into the
+    immutable evidence the learner is handed, so the run's own cost is
+    quadratic in `horizon`, and this cost dominates from a few thousand
+    steps on. What the learner does with each prefix comes on top of that.
     """
     if horizon < 0:
         raise ValueError("horizon must be a natural")

@@ -38,18 +38,21 @@ fewer pairs:
   in one test, but its period is the lcm of all periods seen, which
   grows without bound.)
 
-Every restriction is defined once, single-index ones included: the pair
-conditions by `_pair_bad` and `_caut_bad` (behind the weakly monotone
-gate), and cons, caut_tar, bc and ex by one site function each, which
-gives the witnesses of a violation at the given indices. `check` returns
-the first site in its scan order, and `evaluate_site` applies the same
-function at a stored site.
+Every restriction is declared once, in `_DETAIL`, which maps its id, in
+report order, to the wording of its violation; `RESTRICTION_IDS` and the
+two families are read off it. Its condition is one site function in
+`_SITES`, which gives the witnesses of a violation at the given indices:
+`_pair_site` for the twelve pair restrictions (`_pair_bad` or `_caut_bad`,
+behind the weakly monotone gate), and one function each for cons,
+caut_tar, bc and ex. `check` scans for the first site in its scan order,
+`evaluate_site` calls the site function at a stored site, and `violation`
+turns a site into a violated verdict, worded from `_DETAIL`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .evidence import Informant
 from .interaction import HypSequence
@@ -65,28 +68,30 @@ from .upset import (
     union,
 )
 
-RESTRICTION_IDS = (
-    "cons",
-    "mon",
-    "mon_d",
-    "mon_b",
-    "smon",
-    "smon_d",
-    "smon_b",
-    "wmon",
-    "wmon_d",
-    "wmon_b",
-    "caut",
-    "caut_tar",
-    "caut_fin",
-    "caut_inf",
-    "bc",
-    "ex",
-)
+# Each restriction, in report order, and the wording of its violation at
+# the site (s, t), or (t,), with witness x, whose label in the target is sign.
+_DETAIL = {
+    "cons": "hypothesis at {t} contradicts the datum {x}:{sign}",
+    "mon": "positive {x} covered at {s} but dropped by {t}",
+    "mon_d": "negative {x} excluded at {s} but covered by {t}",
+    "mon_b": "{x} moves against the target between {s} and {t}",
+    "smon": "{x} enumerated at {s} but missing at {t}",
+    "smon_d": "{x} new at {t} though extensions may only shrink",
+    "smon_b": "extension changes at {t} on element {x}",
+    "wmon": "still consistent at {t}, yet {x} was dropped",
+    "wmon_d": "still consistent at {t}, yet {x} was added",
+    "wmon_b": "still consistent at {t}, yet the extension moved on {x}",
+    "caut": "descent from {s} to {t} (loses {x})",
+    "caut_tar": "extension at {t} strictly covers the target ({x} extra)",
+    "caut_fin": "descent onto a finite set from {s} to {t} (loses {x})",
+    "caut_inf": "descent onto an infinite set from {s} to {t} (loses {x})",
+    "bc": "extension still wrong at the horizon ({x} misclassified)",
+    "ex": "settled label names the wrong set ({x} misclassified)",
+}
 
-_MONOTONE = ("mon", "mon_d", "mon_b", "smon", "smon_d", "smon_b",
-             "wmon", "wmon_d", "wmon_b")
-_CAUTIOUS = ("caut", "caut_tar", "caut_fin", "caut_inf")
+RESTRICTION_IDS = tuple(_DETAIL)
+_MONOTONE = tuple(rid for rid in RESTRICTION_IDS if "mon" in rid)
+_CAUTIOUS = tuple(rid for rid in RESTRICTION_IDS if rid.startswith("caut"))
 
 
 @dataclass(frozen=True)
@@ -166,19 +171,6 @@ def _earliest(exts: list[UPSet], t: int) -> dict[UPSet, int]:
     return firsts
 
 
-_PAIR_DETAIL = {
-    "mon": "positive {x} covered at {s} but dropped by {t}",
-    "mon_d": "negative {x} excluded at {s} but covered by {t}",
-    "mon_b": "{x} moves against the target between {s} and {t}",
-    "smon": "{x} enumerated at {s} but missing at {t}",
-    "smon_d": "{x} new at {t} though extensions may only shrink",
-    "smon_b": "extension changes at {t} on element {x}",
-    "wmon": "still consistent at {t}, yet {x} was dropped",
-    "wmon_d": "still consistent at {t}, yet {x} was added",
-    "wmon_b": "still consistent at {t}, yet the extension moved on {x}",
-}
-
-
 # The witnesses of a site that names no element: None alone.
 _NO_ELEMENT = (None,)
 
@@ -251,19 +243,69 @@ def _ex_bad(seq: HypSequence, indices):
     return EMPTY
 
 
+def _pair_site(variant: str, seq: HypSequence, indices) -> UPSet:
+    """Elements witnessing that the pair (s, t) breaks a pair restriction."""
+    if len(indices) != 2 or indices[0] >= indices[1]:
+        return EMPTY
+    s, t = indices
+    wa, wb = seq[s].extension, seq[t].extension
+    if variant in _CAUTIOUS:
+        return _caut_bad(variant, wa, wb)
+    if variant.startswith("wmon") and not _consistent_at(
+            wa, seq.informant, t, len(seq) - 1):
+        return EMPTY
+    return _pair_bad(variant, wa, wb, seq.informant.target)
+
+
+_SITES = {**{rid: partial(_pair_site, rid) for rid in RESTRICTION_IDS},
+          "cons": _cons_bad, "caut_tar": _caut_tar_bad, "bc": _bc_bad,
+          "ex": _ex_bad}
+
+
+def _first_site(restriction: str, seq: HypSequence, sites):
+    """First candidate site with a witness, as (indices, element): the least
+    witness of a set, or the first one yielded, in the order shown."""
+    for indices in sites:
+        bad = _SITES[restriction](seq, indices)
+        if isinstance(bad, UPSet):
+            if bad != EMPTY:
+                return indices, min_element(bad)
+        else:
+            for x in bad:
+                return indices, x
+    return None
+
+
+def violation(restriction: str, seq: HypSequence, indices: tuple[int, ...],
+              element) -> Verdict:
+    """The violated verdict of a site of `seq`, worded from `_DETAIL`.
+
+    Only an ex site names no element: a label still changing at the
+    horizon, or a run too short to show settling.
+    """
+    if element is None:
+        detail = ("label still changing at the horizon" if len(seq) > 1
+                  else "horizon too short to observe settling")
+    else:
+        sign = "+" if seq.informant.target.member(element) else "-"
+        detail = _DETAIL[restriction].format(
+            s=indices[0], t=indices[-1], x=element, sign=sign)
+    return Verdict(restriction, False, indices, element, detail)
+
+
+def _verdict(rid: str, seq: HypSequence, site, satisfied: str = "") -> Verdict:
+    if site is None:
+        return Verdict(rid, True, detail=satisfied)
+    return violation(rid, seq, *site)
+
+
 def check_cons(seq: HypSequence) -> Verdict:
-    for n in range(len(seq)):
-        for x in _cons_bad(seq, (n,)):
-            sign = "+" if seq.informant.target.member(x) else "-"
-            return Verdict(
-                "cons", False, (n,), x,
-                f"hypothesis at {n} contradicts the datum {x}:{sign}",
-            )
-    return Verdict("cons", True)
+    return _verdict("cons", seq, _first_site(
+        "cons", seq, ((n,) for n in range(len(seq)))))
 
 
 def _chain_site(variant: str, seq: HypSequence):
-    """First bad (s, t, witnesses) of an ungated pair variant, or None.
+    """First bad ((s, t), element) of an ungated pair variant, or None.
 
     Fine pairs compose, so the first bad t is the first change point whose
     step (t-1, t) is bad; only there are the earlier extensions searched.
@@ -278,12 +320,12 @@ def _chain_site(variant: str, seq: HypSequence):
         for wa, s in _earliest(exts, t).items():
             bad = _pair_bad(variant, wa, wb, target)
             if bad != EMPTY:
-                return s, t, bad
+                return (s, t), min_element(bad)
     return None
 
 
 def _gated_site(variant: str, seq: HypSequence):
-    """First bad (s, t, witnesses) of a weakly monotone variant, or None.
+    """First bad ((s, t), element) of a weakly monotone variant, or None.
 
     The gate only tightens as t grows, so an extension leaves the live set
     for good at the first change point where it fails the gate, and one
@@ -303,7 +345,7 @@ def _gated_site(variant: str, seq: HypSequence):
             elif wa != wb:
                 bad = _pair_bad(variant, wa, wb, target)
                 if bad != EMPTY:
-                    return s, t, bad
+                    return (s, t), min_element(bad)
         if (t < horizon and wb not in live
                 and _consistent_at(wb, informant, t + 1, horizon)):
             live[wb] = t
@@ -314,19 +356,11 @@ def check_monotone(variant: str, seq: HypSequence) -> Verdict:
     if variant not in _MONOTONE:
         raise ValueError(f"not a monotonicity variant: {variant!r}")
     scan = _gated_site if variant.startswith("wmon") else _chain_site
-    site = scan(variant, seq)
-    if site is None:
-        return Verdict(variant, True)
-    s, t, bad = site
-    x = min_element(bad)
-    return Verdict(
-        variant, False, (s, t), x,
-        _PAIR_DETAIL[variant].format(x=x, s=s, t=t),
-    )
+    return _verdict(variant, seq, scan(variant, seq))
 
 
 def _caut_site(variant: str, seq: HypSequence):
-    """First bad (s, t, witnesses) of a pair caution variant, or None.
+    """First bad ((s, t), element) of a pair caution variant, or None.
 
     A change point is searched only when its extension meets the
     finiteness condition and some earlier extension strictly contains it.
@@ -344,7 +378,7 @@ def _caut_site(variant: str, seq: HypSequence):
             for wa, s in _earliest(exts, t).items():
                 bad = _caut_bad(variant, wa, wb)
                 if bad != EMPTY:
-                    return s, t, bad
+                    return (s, t), min_element(bad)
         if Relation.PROPER_SUBSET not in rels and Relation.EQUAL not in rels:
             tops = [m for m, r in zip(tops, rels)
                     if r is not Relation.PROPER_SUPERSET] + [wb]
@@ -354,43 +388,18 @@ def _caut_site(variant: str, seq: HypSequence):
 def check_cautious(variant: str, seq: HypSequence) -> Verdict:
     if variant not in _CAUTIOUS:
         raise ValueError(f"not a caution variant: {variant!r}")
-    if variant == "caut_tar":
-        for t in range(len(seq)):
-            bad = _caut_tar_bad(seq, (t,))
-            if bad != EMPTY:
-                x = min_element(bad)
-                return Verdict(
-                    "caut_tar", False, (t,), x,
-                    f"extension at {t} strictly covers the target ({x} extra)",
-                )
-        return Verdict("caut_tar", True)
-    site = _caut_site(variant, seq)
-    if site is None:
-        return Verdict(variant, True)
-    s, t, bad = site
-    x = min_element(bad)
-    kind = ("" if variant == "caut"
-            else " onto a finite set" if variant == "caut_fin"
-            else " onto an infinite set")
-    return Verdict(
-        variant, False, (s, t), x,
-        f"descent{kind} from {s} to {t} (loses {x})",
-    )
+    site = (_first_site(variant, seq, ((t,) for t in range(len(seq))))
+            if variant == "caut_tar" else _caut_site(variant, seq))
+    return _verdict(variant, seq, site)
 
 
 def check_bc(seq: HypSequence) -> Verdict:
     h = len(seq) - 1
-    bad = _bc_bad(seq, (h,))
-    if bad != EMPTY:
-        x = min_element(bad)
-        return Verdict(
-            "bc", False, (h,), x,
-            f"extension still wrong at the horizon ({x} misclassified)",
-        )
     target = seq.informant.target
     start = next((n + 1 for n in range(h, -1, -1)
                   if seq[n].extension != target), 0)
-    return Verdict("bc", True, detail=f"correct from {start}")
+    return _verdict("bc", seq, _first_site("bc", seq, [(h,)]),
+                    f"correct from {start}")
 
 
 def check_ex(seq: HypSequence) -> Verdict:
@@ -404,19 +413,8 @@ def check_ex(seq: HypSequence) -> Verdict:
     settled = next((t for t in range(h, 0, -1)
                     if seq[t].label != seq[t - 1].label), 0)
     sites = [(h - 1, h) if h else (0,)] + [(n,) for n in range(settled, h + 1)]
-    for indices in sites:
-        bad = _ex_bad(seq, indices)
-        if bad is _NO_ELEMENT:
-            return Verdict("ex", False, indices, None,
-                           "label still changing at the horizon" if h
-                           else "horizon too short to observe settling")
-        if bad != EMPTY:
-            x = min_element(bad)
-            return Verdict(
-                "ex", False, indices, x,
-                f"settled label names the wrong set ({x} misclassified)",
-            )
-    return Verdict("ex", True, detail=f"settled at {settled}")
+    return _verdict("ex", seq, _first_site("ex", seq, sites),
+                    f"settled at {settled}")
 
 
 def check(restriction: str, seq: HypSequence) -> Verdict:
@@ -437,10 +435,6 @@ def check_all(seq: HypSequence) -> dict[str, Verdict]:
     return {rid: check(rid, seq) for rid in RESTRICTION_IDS}
 
 
-_SITES = {"cons": _cons_bad, "caut_tar": _caut_tar_bad, "bc": _bc_bad,
-          "ex": _ex_bad}
-
-
 def evaluate_site(
     restriction: str, seq: HypSequence, indices: tuple[int, ...], element
 ) -> bool:
@@ -449,24 +443,12 @@ def evaluate_site(
     Used to re-establish stored or transmitted verdicts against a freshly
     recomputed run; any mismatch in indices or witness element fails.
     """
-    if restriction not in RESTRICTION_IDS:
+    if restriction not in _SITES:
         raise ValueError(f"unknown restriction {restriction!r}")
+    indices = tuple(indices)
     if not all(0 <= i < len(seq) for i in indices):
         return False
-    if restriction in _SITES:
-        bad = _SITES[restriction](seq, indices)
-    elif len(indices) == 2 and indices[0] < indices[1]:
-        s, t = indices
-        wa, wb = seq[s].extension, seq[t].extension
-        if restriction in _CAUTIOUS:
-            bad = _caut_bad(restriction, wa, wb)
-        elif restriction.startswith("wmon") and not _consistent_at(
-                wa, seq.informant, t, len(seq) - 1):
-            bad = EMPTY
-        else:
-            bad = _pair_bad(restriction, wa, wb, seq.informant.target)
-    else:
-        return False
+    bad = _SITES[restriction](seq, indices)
     if element is None:
         return bad is _NO_ELEMENT
     # cons yields its witnesses as ints, and True == 1: ask NATURALS first

@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import threading
 import time
 
 import pytest
@@ -298,6 +299,25 @@ def test_subprocess_opponent_malformed_reply():
     with SubprocessOpponent([sys.executable, "-c", child]) as opp:
         with pytest.raises(OpponentError, match="malformed"):
             opp.ask(DataSet(frozenset([(0, 1)])))
+
+
+@pytest.mark.parametrize("reply,message", [
+    (b"H 1 \xff|1\n", "malformed reply"),  # not UTF-8
+    (b"H 1 2|x\n", "malformed reply"),  # no extension
+    (b"", "opponent closed its output"),
+])
+def test_subprocess_opponent_bad_reply_fails_at_once(
+        reply, message, monkeypatch):
+    thread_errors = []
+    monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+    child = (f"import sys\nsys.stdin.readline()\n"
+             f"sys.stdout.buffer.write({reply!r})\nsys.stdout.flush()")
+    with SubprocessOpponent([sys.executable, "-c", child], timeout=5.0) as opp:
+        start = time.monotonic()
+        with pytest.raises(OpponentError, match=message):
+            opp.ask(DataSet(frozenset([(0, 1)])))
+        assert time.monotonic() - start < 2.5
+        assert thread_errors == []
 
 
 @pytest.mark.parametrize("kind", ["Psd", "It"])

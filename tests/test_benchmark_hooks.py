@@ -10,10 +10,15 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
 from inferlab import restrictions
+from inferlab.catalog import learner as catalog_learner
 from inferlab.evidence import Informant
+from inferlab.evidence import canonical_informant
 from inferlab.hypothesis import DelaySchedule
 from inferlab.interaction import EvalContext, Learner, run
+from inferlab.upset import parse
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
@@ -55,3 +60,23 @@ def test_patched_methods_and_run_wrapper_still_fit():
         "learner", "informant", "horizon", "ctx")
     assert hasattr(EvalContext(), "memo")
     assert Learner("traced", "G", lambda d, ctx: None).kind == "G"
+
+
+@pytest.mark.parametrize("name,rid", [
+    ("check_cons", "cons"), ("check_monotone", "wmon_b"),
+    ("check_cautious", "caut_tar"), ("check_bc", "bc"), ("check_ex", "ex")])
+def test_check_calls_each_checker_by_its_module_name(monkeypatch, name, rid):
+    # the tracer rebinds the checkers in the module namespace; a `check`
+    # that dispatched through a table built at import time would bypass it
+    calls = []
+    checker = getattr(restrictions, name)
+
+    def traced(*args):
+        calls.append(args[:-1])
+        return checker(*args)
+
+    monkeypatch.setattr(restrictions, name, traced)
+    seq = run(catalog_learner("fin_pos"), canonical_informant(parse("|10")), 6)
+    assert restrictions.check(rid, seq).restriction == rid
+    assert calls == [(rid,) if name in ("check_monotone", "check_cautious")
+                     else ()]

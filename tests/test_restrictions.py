@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import inferlab.restrictions as restrictions
+from inferlab.catalog import LEARNER_IDS
 from inferlab.catalog import learner as catalog_learner
 from inferlab.evidence import (
     Example,
@@ -27,8 +28,10 @@ from inferlab.restrictions import (
     check,
     check_all,
     check_bc,
+    check_cautious,
     check_cons,
     check_ex,
+    check_monotone,
     evaluate_site,
     probe_semantic,
     revalidate,
@@ -299,6 +302,33 @@ def test_revalidate_out_of_range_site():
     seq = seq_of(EVENS, [fin(0)])
     v = Verdict("smon", False, (0, 5), 0)
     assert not revalidate(v, seq)
+
+
+def test_a_site_given_as_a_list_evaluates_as_its_tuple():
+    """Indices read back from JSON come as a list; the family does not
+    decide whether they are accepted."""
+    seen = set()
+    for lid in LEARNER_IDS:
+        for target in ("|10", "0|1", "10|1", "|1"):
+            seq = run(catalog_learner(lid), canonical_informant(parse(target)),
+                      12)
+            for rid, v in check_all(seq).items():
+                if v.satisfied:
+                    continue
+                seen.add(rid)
+                assert evaluate_site(rid, seq, list(v.indices), v.element), \
+                    (lid, target, rid, v)
+    assert {"cons", "mon", "caut", "caut_tar", "bc", "ex"} <= seen
+
+
+def test_checkers_refuse_an_id_outside_their_family():
+    seq = seq_of(EVENS, [fin(0)])
+    with pytest.raises(ValueError, match="unknown restriction"):
+        check("sideways", seq)
+    with pytest.raises(ValueError, match="not a monotonicity variant"):
+        check_monotone("caut", seq)
+    with pytest.raises(ValueError, match="not a caution variant"):
+        check_cautious("mon", seq)
 
 
 PAIR_VARIANTS = ("mon", "mon_d", "mon_b", "smon", "smon_d", "smon_b",

@@ -30,7 +30,8 @@ from typing import Callable, Iterator
 from .evidence import format_sequence, neg, pos
 from .hypothesis import Hypothesis, hypothesis_for
 from .interaction import Learner
-from .upset import EMPTY, NATURALS, UPSet, complement, from_elements, parse
+from .upset import (EMPTY, NATURALS, UPSet, complement, from_elements,
+                    from_mask, parse)
 
 __all__ = [
     "FAMILY_IDS",
@@ -169,20 +170,20 @@ def _tiers(base: UPSet, mid, top):
 # learners
 
 def _fin_pos(d, ctx) -> Hypothesis:
-    return hypothesis_for(from_elements(pos(d)))
+    return hypothesis_for(from_mask(d.masks[0]))
 
 
 def _cofinite(d, ctx) -> Hypothesis:
-    return hypothesis_for(complement(from_elements(neg(d))))
+    return hypothesis_for(complement(from_mask(d.masks[1])))
 
 
 def _maxpos(d, ctx) -> Hypothesis:
     # reference opponent: the label is just max(pos), so distinct
     # contents can share a label while the extension keeps growing
-    ps = pos(d)
+    ps = d.masks[0]
     if not ps:
         return hypothesis_for(EMPTY)
-    return Hypothesis(max(ps), from_elements(ps))
+    return Hypothesis(ps.bit_length() - 1, from_mask(ps))
 
 
 def _segment(sigma, ctx) -> Hypothesis:
@@ -193,9 +194,10 @@ def _segment(sigma, ctx) -> Hypothesis:
 
 
 def _n_or_fin(sigma, ctx) -> Hypothesis:
-    if not neg(sigma):
+    ps, ns = sigma.masks
+    if not ns:
         return hypothesis_for(NATURALS)
-    return hypothesis_for(from_elements(pos(sigma)))
+    return hypothesis_for(from_mask(ps))
 
 
 def _stream_mon(sigma, ctx) -> Hypothesis:
@@ -231,7 +233,7 @@ def _even_dualmon(sigma, ctx) -> Hypothesis:
 def _fresh_label(d, ctx) -> Hypothesis:
     # memorizer: one label per distinct content, stable across runs
     code = int.from_bytes(format_sequence(d).encode(), "big")
-    return Hypothesis(2 * code + 1, from_elements(pos(d)))
+    return Hypothesis(2 * code + 1, from_mask(d.masks[0]))
 
 
 def _constant_empty(d, ctx) -> Hypothesis:

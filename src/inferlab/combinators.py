@@ -52,6 +52,7 @@ from .upset import (
     complement,
     difference,
     from_elements,
+    from_mask,
     union,
 )
 
@@ -86,9 +87,8 @@ def to_set_driven(learner: Learner) -> Learner:
 
 def patch(e: Hypothesis, d, ctx) -> Hypothesis:
     """Overwrite a conjecture with the data: add positives, drop negatives."""
-    ext = difference(
-        union(e.extension, from_elements(pos(d))), from_elements(neg(d))
-    )
+    ps, ns = d.masks
+    ext = difference(union(e.extension, from_mask(ps)), from_mask(ns))
     return Hypothesis(ctx.fresh_label(), ext)
 
 
@@ -163,7 +163,10 @@ def _trie_learner(name: str, grow, answer=_stored) -> Learner:
         for k, ex in enumerate(items, 1):
             child = node.children.get(ex)
             if child is None:
-                child = grow(node, _trusted(DataSequence, items[:k]), ctx)
+                # the whole evidence is d itself, whose masks may be known
+                tau = (d if k == len(items)
+                       else _trusted(DataSequence, items[:k]))
+                child = grow(node, tau, ctx)
                 node.children[ex] = child
             node = child
         return answer(node, ctx)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .upset import NATURALS, UPSet
@@ -49,6 +49,14 @@ def _check_label_consistent(items: Iterable[Example]) -> None:
             raise ValueError(f"contradictory labels for {ex.value}")
 
 
+def _masks_of(items: Iterable[Example]) -> tuple[int, int]:
+    """The positive and the negative values as int masks, bit v for v."""
+    masks = [0, 0]
+    for ex in items:
+        masks[ex.label] |= 1 << ex.value
+    return masks[1], masks[0]
+
+
 @dataclass(frozen=True)
 class DataSequence:
     """Finite ordered evidence; never assigns two labels to one value."""
@@ -68,6 +76,15 @@ class DataSequence:
 
     def __getitem__(self, i):
         return self.items[i]
+
+    @cached_property
+    def masks(self) -> tuple[int, int]:
+        """(positives, negatives) as int masks, bit v for value v.
+
+        Made from `items` on first read and kept; not a field, so equality
+        and hashing see `items` alone.
+        """
+        return _masks_of(self.items)
 
 
 @dataclass(frozen=True)
@@ -93,18 +110,26 @@ class DataSet:
     def sorted(self) -> tuple[Example, ...]:
         return tuple(sorted(self.items))
 
+    @cached_property
+    def masks(self) -> tuple[int, int]:
+        """(positives, negatives) as int masks, as for `DataSequence`."""
+        return _masks_of(self.items)
+
 
 Evidence = DataSequence | DataSet
 
 
-def _trusted(cls, items):
+def _trusted(cls, items, masks=None):
     """Evidence of `cls` over items the caller has already validated.
 
     Skips `__post_init__`: the items must already be `Example`s in the
-    container type `cls` stores, with no value carrying two labels.
+    container type `cls` stores, with no value carrying two labels. Given
+    `masks`, they must be the items' masks.
     """
     d = object.__new__(cls)
     object.__setattr__(d, "items", items)
+    if masks is not None:
+        object.__setattr__(d, "masks", masks)
     return d
 
 
@@ -123,7 +148,8 @@ def outline(d: Evidence) -> frozenset[int]:
 def content(d: Evidence) -> DataSet:
     if isinstance(d, DataSet):
         return d
-    return _trusted(DataSet, frozenset(d.items))  # already validated
+    # already validated; the masks, where already made, are the same
+    return _trusted(DataSet, frozenset(d.items), vars(d).get("masks"))
 
 
 def parse_sequence(text: str) -> DataSequence:
@@ -218,25 +244,53 @@ def prefix(informant: Informant, n: int) -> DataSequence:
     return DataSequence(tuple(informant.example_at(i) for i in range(n)))
 
 
+class EvidenceIndex:
+    """The masks of every prefix of one presentation, n = 0..horizon.
+
+    `positives[n]` and `negatives[n]` are the masks of the first n
+    examples; a prefix that repeats an example shares its parent's ints.
+    The examples themselves are not kept: an example that is new at
+    index i is the one bit that prefix i + 1 adds. Compared and hashed by
+    identity, since an index stands for the one presentation it was read
+    from.
+    """
+
+    __slots__ = ("positives", "negatives", "__weakref__")
+
+    def __init__(self, masks: Iterable[tuple[int, int]]):
+        self.positives, self.negatives = map(tuple, zip(*masks))
+
+    @property
+    def width(self) -> int:
+        """One past the largest value shown, 0 if none: the masks' width."""
+        return (self.positives[-1] | self.negatives[-1]).bit_length()
+
+
 def prefixes(
     informant: Informant, horizon: int
 ) -> Iterator[tuple[DataSequence, DataSet]]:
     """Yield `(prefix(informant, n), content(prefix(informant, n)))`, n = 0..horizon.
 
     Each index is enumerated once and each new example is validated once,
-    against the running content, so every yielded prefix keeps the
-    evidence invariant without being checked again in full. Each step
-    copies the items into a new immutable prefix, and into a new content
-    when the example is new, so a pass is quadratic in `horizon`.
+    against the running masks, so every yielded prefix keeps the evidence
+    invariant without being checked again in full. Each prefix and its
+    content come with their `masks` set: the parent's plus one OR, and the
+    very same pair when the example was shown before. Each step copies the
+    items into a new immutable prefix, and into a new content when the
+    example is new, so a pass is quadratic in `horizon`.
     """
-    d = _trusted(DataSequence, ())
-    dset = _trusted(DataSet, frozenset())
+    d = _trusted(DataSequence, (), (0, 0))
+    dset = _trusted(DataSet, frozenset(), d.masks)
     yield d, dset
     for i in range(horizon):
         (ex,) = _as_examples((informant.example_at(i),))
-        if Example(ex.value, 1 - ex.label) in dset.items:
+        bit, (p, n) = 1 << ex.value, d.masks
+        if (n if ex.label else p) & bit:
             raise ValueError(f"contradictory labels for {ex.value}")
-        d = _trusted(DataSequence, d.items + (ex,))
-        if ex not in dset.items:
-            dset = _trusted(DataSet, dset.items | {ex})
+        if (p if ex.label else n) & bit:  # shown before: nothing new
+            d = _trusted(DataSequence, d.items + (ex,), d.masks)
+        else:
+            masks = (p | bit, n) if ex.label else (p, n | bit)
+            d = _trusted(DataSequence, d.items + (ex,), masks)
+            dset = _trusted(DataSet, dset.items | {ex}, masks)
         yield d, dset

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .evidence import Informant, content, prefixes
+from .evidence import EvidenceIndex, Informant, content, prefixes
 from .hypothesis import Hypothesis, hypothesis_for
 from .upset import EMPTY
 
@@ -58,11 +58,27 @@ class Learner:
 
 @dataclass(frozen=True)
 class HypSequence:
-    """Hypotheses emitted along a presentation; items[n] answers prefix n."""
+    """Hypotheses emitted along a presentation; items[n] answers prefix n.
+
+    `shown` is the evidence index of the presentation's first
+    `len(items) - 1` examples. `run` hands over the one it built while
+    enumerating; a sequence built without one reads it off the informant
+    on first use of `index`. It takes no part in equality or hashing.
+    """
 
     items: tuple[Hypothesis, ...]
     learner_name: str
     informant: Informant
+    shown: EvidenceIndex | None = field(default=None, compare=False,
+                                        repr=False)
+
+    @property
+    def index(self) -> EvidenceIndex:
+        """The evidence index: the masks of each prefix shown."""
+        if self.shown is None:  # one example_at call per index
+            object.__setattr__(self, "shown", EvidenceIndex(
+                d.masks for d, _ in prefixes(self.informant, len(self) - 1)))
+        return self.shown
 
     def __len__(self) -> int:
         return len(self.items)
@@ -97,19 +113,24 @@ def run(
     immutable evidence the learner is handed, so the run's own cost is
     quadratic in `horizon`, and this cost dominates from a few thousand
     steps on. What the learner does with each prefix comes on top of that.
+    Each prefix's masks go with the returned sequence as its evidence
+    index, so judging the run reads the informant no more.
     """
     if horizon < 0:
         raise ValueError("horizon must be a natural")
     if ctx is None:
         ctx = EvalContext()
     items: list[Hypothesis] = []
+    masks = []
     for d, dset in prefixes(informant, horizon):
+        masks.append(d.masks)
         if learner.kind != "It":
             items.append(learner.fn(*_handed(learner.kind, d, dset), ctx))
         else:
             items.append(learner.fn(items[-1], d[-1], ctx) if d
                          else INITIAL_HYPOTHESIS)
-    return HypSequence(tuple(items), learner.name, informant)
+    return HypSequence(tuple(items), learner.name, informant,
+                       EvidenceIndex(masks))
 
 
 def as_full_information(learner: Learner) -> Learner:

@@ -38,6 +38,15 @@ fewer pairs:
   in one test, but its period is the lcm of all periods seen, which
   grows without bound.)
 
+Whether an extension agrees with the data shown before t (cons, and the
+weakly monotone gate) is answered from the run's evidence index
+(`HypSequence.index`), the positive and the negative values of every
+prefix as int masks, never by reading the informant again. With e the
+extension's mask, the first t examples conflict with it iff
+(P_t & ~e) | (N_t & e) is nonzero. That only grows with t, so the first
+conflict is a binary search over the prefixes, O(log horizon) mask tests,
+and the contradicted values at t are that expression's bits.
+
 Every restriction is declared once, in `_DETAIL`, which maps its id, in
 report order, to the wording of its violation; `RESTRICTION_IDS` and the
 two families are read off it. Its condition is one site function in
@@ -51,16 +60,18 @@ turns a site into a violated verdict, worded from `_DETAIL`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .evidence import Informant
+from .evidence import EvidenceIndex
 from .interaction import HypSequence
 from .upset import (
     EMPTY,
     NATURALS,
     Relation,
     UPSet,
+    _expand,
     difference,
     intersection,
     min_element,
@@ -107,17 +118,36 @@ class ProbeError(ValueError):
     pass
 
 
-@lru_cache(maxsize=None)
-def _first_conflict(ext: UPSet, informant: Informant, horizon: int) -> int | None:
-    """Least presentation index whose datum contradicts the extension."""
-    for i in range(horizon):
-        if not informant.example_at(i).agrees(ext):
-            return i
-    return None
+def _ext_mask(ext: UPSet, width: int) -> int:
+    """The extension's members below `width` as an int mask, bit v for v."""
+    return int(_expand(ext, width)[::-1], 2) if width else 0
 
 
-def _consistent_at(ext: UPSet, informant: Informant, t: int, horizon: int) -> bool:
-    fc = _first_conflict(ext, informant, horizon)
+def _conflicts(index: EvidenceIndex, n: int, e: int) -> int:
+    """The values among the first n examples that the set with mask `e`
+    contradicts: positives outside it and negatives inside it."""
+    return (index.positives[n] & ~e) | (index.negatives[n] & e)
+
+
+@lru_cache(maxsize=1024)
+def _first_conflict(ext: UPSet, index: EvidenceIndex) -> int | None:
+    """Least index of the examples shown whose datum contradicts `ext`.
+
+    A prefix that conflicts with the extension stays in conflict as it
+    grows, so a binary search over the prefixes' masks finds the first
+    one that does; its last example is the first conflict. Bounded, so a
+    long sweep keeps only the indices of its latest runs alive.
+    """
+    e = _ext_mask(ext, index.width)
+    end = len(index.positives)
+    t = bisect_left(range(end), True,
+                    key=lambda n: bool(_conflicts(index, n, e)))
+    return t - 1 if t < end else None
+
+
+def _consistent_at(ext: UPSet, index: EvidenceIndex, t: int) -> bool:
+    """Does `ext` agree with the first t examples shown?"""
+    fc = _first_conflict(ext, index)
     return fc is None or fc >= t
 
 
@@ -178,21 +208,26 @@ _NO_ELEMENT = (None,)
 def _cons_bad(seq: HypSequence, indices):
     """Values of the data shown before n that extension n contradicts.
 
-    The site is (n,). The values come in the order shown and are read
-    lazily, so the informant is walked only where extension n contradicts
-    a datum shown before n, and only up to the value asked for.
+    The site is (n,). The first value is the one shown first, the datum at
+    the first conflict. It is new there (had it been shown before, the
+    conflict would have come then), so it is the one bit its prefix adds.
+    The others are read off the masks of the first n examples, in
+    increasing order, and only when asked for.
     """
     if len(indices) != 1:
         return
     (n,) = indices
-    w, informant = seq[n].extension, seq.informant
-    fc = _first_conflict(w, informant, len(seq) - 1)
-    if fc is None:
+    w, index = seq[n].extension, seq.index
+    fc = _first_conflict(w, index)
+    if fc is None or fc >= n:
         return
-    for i in range(fc, n):
-        ex = informant.example_at(i)
-        if not ex.agrees(w):
-            yield ex.value
+    ps, ns = index.positives, index.negatives
+    yield ((ps[fc + 1] ^ ps[fc]) | (ns[fc + 1] ^ ns[fc])).bit_length() - 1
+    bad = _conflicts(index, n, _ext_mask(w, index.width))
+    while bad:
+        low = bad & -bad
+        yield low.bit_length() - 1
+        bad ^= low
 
 
 def _caut_tar_bad(seq: HypSequence, indices) -> UPSet:
@@ -251,8 +286,7 @@ def _pair_site(variant: str, seq: HypSequence, indices) -> UPSet:
     wa, wb = seq[s].extension, seq[t].extension
     if variant in _CAUTIOUS:
         return _caut_bad(variant, wa, wb)
-    if variant.startswith("wmon") and not _consistent_at(
-            wa, seq.informant, t, len(seq) - 1):
+    if variant.startswith("wmon") and not _consistent_at(wa, seq.index, t):
         return EMPTY
     return _pair_bad(variant, wa, wb, seq.informant.target)
 
@@ -332,7 +366,7 @@ def _gated_site(variant: str, seq: HypSequence):
     that fails it right after its first index never enters (nor re-enters
     when it recurs).
     """
-    target, informant = seq.informant.target, seq.informant
+    target, index = seq.informant.target, seq.index
     horizon = len(seq) - 1
     exts = [h.extension for h in seq.items]
     live: dict[UPSet, int] = {}  # extension -> earliest index, index order
@@ -340,14 +374,14 @@ def _gated_site(variant: str, seq: HypSequence):
         if t and wb == exts[t - 1]:
             continue
         for wa, s in list(live.items()):
-            if not _consistent_at(wa, informant, t, horizon):
+            if not _consistent_at(wa, index, t):
                 del live[wa]
             elif wa != wb:
                 bad = _pair_bad(variant, wa, wb, target)
                 if bad != EMPTY:
                     return (s, t), min_element(bad)
         if (t < horizon and wb not in live
-                and _consistent_at(wb, informant, t + 1, horizon)):
+                and _consistent_at(wb, index, t + 1)):
             live[wb] = t
     return None
 

@@ -132,6 +132,18 @@ def raw_first_site(variant: str, exts, target, conflicts):
     return True, (), None
 
 
+def raw_first_conflict(ext, informant, horizon: int) -> int | None:
+    """Least index below `horizon` whose datum contradicts the raw
+    (prefix, period) extension, by walking the informant one example at a
+    time."""
+    p, q = ext
+    for i in range(horizon):
+        ex = informant.example_at(i)
+        if raw_member(p, q, ex.value) != bool(ex.label):
+            return i
+    return None
+
+
 def raw_site(rid: str, exts, labels, target, data, indices, element) -> bool:
     """Is (indices, element) a violation site of the restriction?
 

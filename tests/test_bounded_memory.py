@@ -1,0 +1,60 @@
+"""Memory stays bounded: every cache has a size limit, a dropped run's
+evidence index is freed once the first-conflict cache moves on, and a
+value far past the horizon costs only the width of its masks."""
+
+import gc
+import importlib.util
+import tracemalloc
+import weakref
+from pathlib import Path
+
+from inferlab import restrictions, upset
+from inferlab.catalog import learner as catalog_learner
+from inferlab.evidence import Informant
+from inferlab.interaction import run
+from inferlab.restrictions import check, check_all
+from inferlab.upset import NATURALS, parse
+
+TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+
+
+def _cached_upset_names():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CACHED_UPSET
+
+
+def test_every_traced_cache_is_bounded():
+    caches = [getattr(upset, name) for name in _cached_upset_names()]
+    for fn in (*caches, restrictions._first_conflict):
+        assert fn.cache_info().maxsize is not None, fn.__name__
+
+
+def test_dropped_runs_leave_at_most_the_cache_bound_of_indices_alive():
+    bound = restrictions._first_conflict.cache_info().maxsize
+    fin_pos, evens = catalog_learner("fin_pos"), parse("|10")
+    alive = []
+    for seed in range(bound + 64):
+        seq = run(fin_pos, Informant(evens, (), "shuffled", seed), 3)
+        assert check("cons", seq).satisfied
+        alive.append(weakref.ref(seq.index))
+    del seq
+    gc.collect()
+    assert sum(ref() is not None for ref in alive) <= bound
+
+
+def test_a_value_far_past_the_horizon_costs_only_its_masks():
+    """The masks are as wide as the largest value shown, here 10**6 bits,
+    so the run's index holds about horizon * 10**6 / 4 bytes."""
+    inf = Informant(NATURALS, (10**6,))
+    tracemalloc.start()
+    try:
+        seq = run(catalog_learner("constant_empty"), inf, 40)
+        verdicts = check_all(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdicts["cons"].indices == (1,)
+    assert verdicts["cons"].element == 10**6
+    assert peak < 16 * 2**20

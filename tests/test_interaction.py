@@ -3,10 +3,13 @@ import pytest
 from inferlab.catalog import learner
 from inferlab.combinators import cons_wmon_wrapper
 from inferlab.evidence import (
+    DataSequence,
+    DataSet,
     Example,
     Informant,
     canonical_informant,
     content,
+    neg,
     pos,
     prefix,
 )
@@ -211,3 +214,26 @@ def test_every_mode_refuses_a_bad_informant(lrn, bad):
     items = _BAD_INFORMANTS[bad]
     with pytest.raises(ValueError):
         run(lrn, _ListedInformant(*items), len(items))
+
+
+@pytest.mark.parametrize("kind", ("G", "Sd"))
+def test_evidence_with_masks_compares_as_plain_evidence(kind):
+    """What a run hands a learner carries its masks, yet compares and
+    hashes as evidence built from its items alone, masks read or not."""
+    handed = []
+
+    def keep(d, ctx):
+        handed.append(d)
+        return INITIAL_HYPOTHESIS
+
+    inf = Informant(parse("10|1"), (9, 3, 3), "shuffled", 4)
+    seq = run(Learner("keep", kind, keep), inf, 30)
+    plain_type = DataSequence if kind == "G" else DataSet
+    for n, d in enumerate(handed):
+        plain = plain_type(d.items)
+        assert d == plain and hash(d) == hash(plain)
+        assert "masks" in vars(d) and "masks" not in vars(plain)
+        assert d.masks == plain.masks == (
+            sum(1 << x for x in pos(d)), sum(1 << x for x in neg(d)))
+        assert d == plain and hash(d) == hash(plain)
+        assert (seq.index.positives[n], seq.index.negatives[n]) == d.masks

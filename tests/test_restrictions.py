@@ -8,6 +8,7 @@ import inferlab.restrictions as restrictions
 from inferlab.catalog import LEARNER_IDS
 from inferlab.catalog import learner as catalog_learner
 from inferlab.evidence import (
+    ORDERS,
     Example,
     Informant,
     canonical_informant,
@@ -37,15 +38,17 @@ from inferlab.restrictions import (
     revalidate,
 )
 from inferlab.upset import (
+    EMPTY,
     NATURALS,
     UPSet,
+    complement,
     difference,
     from_elements,
     parse,
     union,
 )
-from oracles import (raw_first_single_site, raw_first_site, raw_member,
-                     raw_site)
+from oracles import (raw_first_conflict, raw_first_single_site,
+                     raw_first_site, raw_member, raw_site)
 
 EVENS = parse("|10")
 
@@ -503,3 +506,78 @@ def test_check_all_makes_a_linear_number_of_pair_tests(
     counts = [_pair_tests(monkeypatch, run(catalog_learner(lid), informant, h))
               for h in (100, 200)]
     assert 0 < counts[1] <= 2.5 * counts[0], counts
+
+
+@st.composite
+def indexed_runs(draw):
+    """A run of drawn extensions over a drawn informant, and a value.
+
+    The informant's head may show a value far past the horizon. The pool
+    holds random sets, the target, its complement and the target with
+    the far value flipped. The run is made by `run` or built by hand, so
+    its index comes from the run or from the informant.
+    """
+    tp, tq = draw(raw_sets)
+    target = UPSet(tp, tq)
+    horizon = draw(st.integers(0, 24))
+    far = horizon + draw(st.integers(100, 400))
+    head = draw(st.lists(st.integers(0, 12) | st.just(far), max_size=4))
+    inf = Informant(target, tuple(head), draw(st.sampled_from(ORDERS)),
+                    draw(st.integers(0, 9)))
+    flip = from_elements({far})
+    pool = [target, complement(target), union(target, flip),
+            difference(target, flip), EMPTY, NATURALS]
+    pool += [UPSet(*d) for d in draw(st.lists(raw_sets, max_size=4))]
+    hyps = tuple(hypothesis_for(pool[k]) for k in draw(st.lists(
+        st.integers(0, len(pool) - 1), min_size=horizon + 1,
+        max_size=horizon + 1)))
+    if draw(st.booleans()):
+        seq = run(Learner("drawn", "G", lambda d, ctx: hyps[len(d)]), inf,
+                  horizon)
+        assert seq.shown is not None
+    else:
+        seq = HypSequence(hyps, "handmade", inf)
+    return seq, pool, far
+
+
+@settings(max_examples=300, deadline=None)
+@given(indexed_runs())
+def test_first_conflicts_match_the_informant_walk(drawn):
+    """The binary search over the index finds the walk's first conflict,
+    and cons accepts exactly the oracle's sites."""
+    seq, pool, far = drawn
+    inf, horizon = seq.informant, len(seq) - 1
+    for u in pool:
+        assert restrictions._first_conflict(u, seq.index) == \
+            raw_first_conflict(_raw(u), inf, horizon), u
+    raw = _raw_run(seq)
+    v = check("cons", seq)
+    assert (v.satisfied, v.indices, v.element) == \
+        raw_first_single_site("cons", *raw)
+    xs = {ex.value for ex in raw[3]} | set(range(13)) | {far, far + 1}
+    for n in range(len(seq)):
+        for x in xs:
+            assert evaluate_site("cons", seq, (n,), x) == raw_site(
+                "cons", *raw, (n,), x), (n, x)
+
+
+@pytest.mark.parametrize("lid", ("fin_pos", "cofinite", "segment",
+                                 "stream_mon", "even_dualmon"))
+def test_check_all_reads_the_informant_only_for_a_hand_built_run(
+        monkeypatch, lid):
+    calls = []
+    example_at = Informant.example_at
+
+    def counted(self, i):
+        calls.append(i)
+        return example_at(self, i)
+
+    horizon = 40
+    inf = Informant(parse("10|1"), (29, 3, 3), "shuffled", 2)
+    seq = run(catalog_learner(lid), inf, horizon)
+    monkeypatch.setattr(Informant, "example_at", counted)
+    made = check_all(seq)
+    assert calls == []
+    by_hand = check_all(HypSequence(seq.items, "handmade", inf))
+    assert by_hand == made
+    assert len(calls) <= horizon

@@ -16,6 +16,7 @@ from inferlab.upset import (
     complement,
     difference,
     from_elements,
+    from_mask,
     intersection,
     is_subset,
     min_element,
@@ -244,3 +245,15 @@ def test_kernels_match_the_raw_oracle(da, db, bound):
     assert relate(a, b).value == raw_relation(pa, qa, pb, qb)
     assert min_element(a) == min(ea, default=None)
     assert bounded_elements(a, bound) == tuple(sorted(raw_elements(pa, qa, bound)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(0, 300), max_size=40))
+def test_from_mask_matches_from_elements(xs):
+    """Bit x of the mask stands for x; the set is the same one
+    `from_elements` builds, and the raw rule reads it back."""
+    u = from_mask(sum(1 << x for x in xs))
+    assert u == from_elements(xs)
+    assert raw_elements(u.prefix, u.period, 310) == xs
+    with pytest.raises(ValueError):
+        from_mask(-1 - sum(1 << x for x in xs))

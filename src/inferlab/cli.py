@@ -66,19 +66,20 @@ def _cmd_adversary(args) -> int:
 
 
 def _cmd_algebra(args) -> int:
+    ops = args.operands
+    arity = 1 if args.op == "complement" else 2
     try:
+        if len(ops) != arity:
+            raise ValueError(f"{args.op} takes {arity} operand"
+                             f"{'s' if arity > 1 else ''}, got {len(ops)}")
         if args.op == "relate":
-            a, b = args.operands
-            print(relate(parse(a), parse(b)).value)
-        elif args.op in ("union", "intersection", "difference"):
-            a, b = args.operands
-            print(combine(args.op, parse(a), parse(b)))
+            print(relate(parse(ops[0]), parse(ops[1])).value)
         elif args.op == "complement":
-            (a,) = args.operands
-            print(complement(parse(a)))
-        else:  # member
-            a, x = args.operands
-            print("yes" if parse(a).member(int(x)) else "no")
+            print(complement(parse(ops[0])))
+        elif args.op == "member":
+            print("yes" if parse(ops[0]).member(int(ops[1])) else "no")
+        else:
+            print(combine(args.op, parse(ops[0]), parse(ops[1])))
     except ValueError as exc:
         print(f"algebra error: {exc}", file=sys.stderr)
         return 2

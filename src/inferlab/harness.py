@@ -112,16 +112,17 @@ class AdversaryRun:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A resolved config; `validate_config` fills each field from `_SCHEMA`."""
+
     learner_id: str
-    combinator_ids: tuple[str, ...] = ()
-    targets: tuple[Target, ...] = ()
-    schedules: tuple[Schedule, ...] = (Schedule(),)
-    horizon: int = 1
-    restrictions: tuple[str, ...] = ()
-    adversaries: tuple[AdversaryRun, ...] = ()
-    expect: str = "satisfied"
-    seed: int = 0
-    output: str | None = None
+    combinator_ids: tuple[str, ...]
+    targets: tuple[Target, ...]
+    schedules: tuple[Schedule, ...]
+    horizon: int
+    restrictions: tuple[str, ...]
+    adversaries: tuple[AdversaryRun, ...]
+    expect: str
+    output: str | None
 
     def pipeline(self) -> Learner:
         return build_pipeline(self.learner_id, self.combinator_ids)
@@ -137,147 +138,202 @@ def build_pipeline(learner_id: str, combinator_ids=()) -> Learner:
 # ---------------------------------------------------------------------------
 # validation
 
-def _objects(raw, name: str, keys: set, errors):
-    """Yield `(where, entry)` for each entry of the config list `raw` that
-    is an object with no key outside `keys`; report the others."""
+def _unknown(what: str, value, known) -> str:
+    return f"unknown {what} {value!r}; known: {', '.join(known)}"
+
+
+def _ids(value, name: str, what: str, known: tuple, errors) -> tuple | None:
+    """The config list `value` of ids from `known`, or None when one is
+    unknown. A value that is not a list is reported and read as empty."""
+    if not isinstance(value, list):
+        errors.append(f"{name} must be a list")
+        return ()
+    # `known` is a tuple, not a set: an entry may be unhashable
+    bad = [x for x in value if x not in known]
+    errors.extend(_unknown(what, x, known) for x in bad)
+    return None if bad else tuple(value)
+
+
+def _entries(raw, name: str, keys: set, resolve, errors) -> list:
+    """`resolve` of each entry of the config list `raw`. An entry that is
+    not an object, has a key outside `keys`, or makes `resolve` raise
+    ValueError is reported under its position and skipped."""
     if not isinstance(raw, list):
         errors.append(f"{name} must be a list")
-        return
+        return []
+    out = []
     for i, entry in enumerate(raw):
-        where = f"{name}[{i}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{where}: must be an object")
-        elif set(entry) - keys:
-            errors.append(f"{where}: unknown keys {sorted(set(entry) - keys)}")
-        else:
-            yield where, entry
+        try:
+            if not isinstance(entry, dict):
+                raise ValueError("must be an object")
+            if set(entry) - keys:
+                raise ValueError(f"unknown keys {sorted(set(entry) - keys)}")
+            out.append(resolve(entry))
+        except ValueError as exc:
+            errors.append(f"{name}[{i}]: {exc}")
+    return out
 
 
-def _resolve_language_entry(where, entry, errors) -> list[UPSet]:
+def _resolve_learner(value, cfg, errors) -> str | None:
+    if value in LEARNER_IDS:
+        return value
+    errors.append("missing required key 'learner'" if value is None
+                  else _unknown("learner", value, LEARNER_IDS))
+    return None
+
+
+def _resolve_combinators(value, cfg, errors) -> tuple[str, ...] | None:
+    """The combinator ids, or None when they do not make a pipeline."""
+    comb = _ids(value, "combinators", "combinator",
+                tuple(sorted(COMBINATORS)), errors)
+    if comb is not None and cfg["learner_id"] is not None:
+        try:
+            build_pipeline(cfg["learner_id"], comb)
+        except ValueError as exc:
+            errors.append(f"pipeline does not compose: {exc}")
+            return None
+    return comb
+
+
+def _language_entry(entry) -> list[UPSet]:
     lang_id = entry["language"]
     if not isinstance(lang_id, str):
-        errors.append(f"{where}: language id must be a string")
-        return []
+        raise ValueError("language id must be a string")
     fixed = entry.get("params", {})
     sweep = entry.get("sweep", {})
     if not isinstance(fixed, dict) or not isinstance(sweep, dict):
-        errors.append(f"{where}: params and sweep must be objects")
-        return []
+        raise ValueError("params and sweep must be objects")
     for key, values in sweep.items():
         if not isinstance(values, list) or not values:
-            errors.append(f"{where}: sweep value for {key!r} must be a "
-                          "non-empty list")
-            return []
-    combos = [dict(zip(sweep, combo))
-              for combo in itertools.product(*sweep.values())]
+            raise ValueError(f"sweep value for {key!r} must be a "
+                             "non-empty list")
     built, last_error = [], None
-    for combo in combos:
+    for combo in itertools.product(*sweep.values()):
+        params = {**fixed, **dict(zip(sweep, combo))}
         try:
-            built.append(language(lang_id, **{**fixed, **combo}))
+            built.append(language(lang_id, **params))
         except ValueError as exc:
             last_error = exc  # sweeps may cross invalid corners; skip those
     if not built:
-        errors.append(f"{where}: {last_error}")
+        raise last_error
     return built
 
 
 _TARGET_KINDS = ("language", "family", "upset")
 
 
-def _resolve_targets(raw, errors) -> tuple[Target, ...]:
-    out, seen = [], set()
-    for where, entry in _objects(raw, "targets", {*_TARGET_KINDS, "params",
-                                                  "sweep", "count"}, errors):
-        kinds = [k for k in _TARGET_KINDS if k in entry]
-        if len(kinds) != 1:
-            errors.append(f"{where}: needs exactly one of language/family/upset")
-            continue
-        scope = "family"
-        if kinds[0] == "upset":
-            try:
-                sets = [parse(entry["upset"])]
-            except (ValueError, TypeError, AttributeError) as exc:
-                errors.append(f"{where}: bad set notation "
-                              f"{entry['upset']!r}: {exc}")
-                continue
-        elif kinds[0] == "language":
-            sets = _resolve_language_entry(where, entry, errors)
-        else:
-            family = entry["family"]
-            count = entry.get("count", 8)
-            if count not in NATURALS or count < 1:
-                errors.append(f"{where}: count must be a positive integer")
-                continue
-            if family == "*":
-                scope = "global (sampled)"
-                sets = [u for fam in FAMILY_IDS
-                        for u in family_instances(fam, count)]
-            elif family in FAMILY_IDS:
-                sets = list(family_instances(family, count))
-            else:
-                errors.append(f"{where}: unknown family {family!r}; known: "
-                              f"{', '.join(FAMILY_IDS)} or '*'")
-                continue
+def _target_entry(entry) -> tuple[list[UPSet], str]:
+    """The sets one targets entry names, and their scope."""
+    kinds = [k for k in _TARGET_KINDS if k in entry]
+    if len(kinds) != 1:
+        raise ValueError("needs exactly one of language/family/upset")
+    if kinds[0] == "upset":
+        try:
+            return [parse(entry["upset"])], "family"
+        except ValueError as exc:
+            raise ValueError(f"bad set notation {entry['upset']!r}: "
+                             f"{exc}") from None
+    if kinds[0] == "language":
+        return _language_entry(entry), "family"
+    family = entry["family"]
+    count = entry.get("count", 8)
+    if count not in NATURALS or count < 1:
+        raise ValueError("count must be a positive integer")
+    if family == "*":
+        sets = [u for fam in FAMILY_IDS for u in family_instances(fam, count)]
+        return sets, "global (sampled)"
+    if family not in FAMILY_IDS:
+        raise ValueError(f"{_unknown('family', family, FAMILY_IDS)} or '*'")
+    return list(family_instances(family, count)), "family"
+
+
+def _resolve_targets(raw, cfg, errors) -> tuple[Target, ...]:
+    targets = {}  # the first entry to name a set gives its scope
+    for sets, scope in _entries(raw, "targets", {*_TARGET_KINDS, "params",
+                                                 "sweep", "count"},
+                                _target_entry, errors):
         for u in sets:
-            if u not in seen:
-                seen.add(u)
-                out.append(Target(u, scope))
-    return tuple(out)
+            targets.setdefault(u, Target(u, scope))
+    return tuple(targets.values())
 
 
-def _resolve_schedules(raw, errors) -> tuple[Schedule, ...]:
-    out = []
-    for where, entry in _objects(raw, "schedules", {"order", "seed", "plan"},
-                                 errors):
-        order = entry.get("order", "canonical")
-        if order not in ORDERS:
-            errors.append(f"{where}: unknown order {order!r}; known: "
-                          f"{', '.join(ORDERS)}")
-            continue
-        seed = entry.get("seed")
-        if order == "shuffled":
-            if not isinstance(seed, int) or isinstance(seed, bool):
-                errors.append(f"{where}: shuffled order requires an "
-                              "explicit integer seed")
-                continue
-        elif seed is not None:
-            errors.append(f"{where}: seed is only meaningful for "
-                          "shuffled order")
-            continue
-        plan = entry.get("plan", [])
-        if not isinstance(plan, list) or not all(v in NATURALS for v in plan):
-            errors.append(f"{where}: plan must be a list of naturals")
-            continue
-        out.append(Schedule(order, seed, tuple(plan)))
-    return tuple(out) if out else (Schedule(),)
+def _schedule_entry(entry) -> Schedule:
+    order = entry.get("order", "canonical")
+    if order not in ORDERS:
+        raise ValueError(_unknown("order", order, ORDERS))
+    seed = entry.get("seed")
+    if order == "shuffled":
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError("shuffled order requires an explicit integer "
+                             "seed")
+    elif seed is not None:
+        raise ValueError("seed is only meaningful for shuffled order")
+    plan = entry.get("plan", [])
+    if not isinstance(plan, list) or not all(v in NATURALS for v in plan):
+        raise ValueError("plan must be a list of naturals")
+    return Schedule(order, seed, tuple(plan))
 
 
-def _resolve_adversaries(raw, pipeline, errors) -> tuple[AdversaryRun, ...]:
-    out = []
-    for where, entry in _objects(raw, "adversaries",
-                                 {"id", "n_search", "t_bound", "rounds"},
-                                 errors):
+def _resolve_schedules(raw, cfg, errors) -> tuple[Schedule, ...]:
+    return tuple(_entries(raw, "schedules", {"order", "seed", "plan"},
+                          _schedule_entry, errors)) or (Schedule(),)
+
+
+def _resolve_adversaries(raw, cfg, errors) -> tuple[AdversaryRun, ...]:
+    lid, comb = cfg["learner_id"], cfg["combinator_ids"]
+
+    def adversary(entry) -> AdversaryRun:
         adv = entry.get("id")
         if adv not in ADVERSARY_IDS:
-            errors.append(f"{where}: unknown adversary {adv!r}; known: "
-                          f"{', '.join(ADVERSARY_IDS)}")
-            continue
-        try:
-            bounds = Bounds(**{k: v for k, v in entry.items() if k != "id"})
-        except ValueError as exc:
-            errors.append(f"{where}: {exc}")
-            continue
-        if adv == "mindchange" and pipeline is not None \
-                and pipeline.kind != "Sd":
-            errors.append(f"{where}: mindchange needs a set-driven opponent; "
-                          f"the pipeline is {pipeline.kind}")
-            continue
-        out.append(AdversaryRun(adv, bounds))
-    return tuple(out)
+            raise ValueError(_unknown("adversary", adv, ADVERSARY_IDS))
+        bounds = Bounds(**{k: v for k, v in entry.items() if k != "id"})
+        if adv == "mindchange" and None not in (lid, comb):
+            kind = build_pipeline(lid, comb).kind
+            if kind != "Sd":
+                raise ValueError("mindchange needs a set-driven opponent; "
+                                 f"the pipeline is {kind}")
+        return AdversaryRun(adv, bounds)
+
+    return tuple(_entries(raw, "adversaries",
+                          {"id", "n_search", "t_bound", "rounds"},
+                          adversary, errors))
 
 
-_TOP_KEYS = {"learner", "combinators", "targets", "schedules", "horizon",
-             "restrictions", "adversaries", "expect", "seed", "output"}
+def _resolve_restrictions(value, cfg, errors) -> tuple[str, ...] | None:
+    rids = _ids(value, "restrictions", "restriction", RESTRICTION_IDS, errors)
+    return None if rids is None else tuple(dict.fromkeys(rids))
+
+
+def _scalar(ok, message):
+    """The resolver that keeps a value passing `ok` and reports the rest."""
+    def resolve(value, cfg, errors):
+        if ok(value):
+            return value
+        errors.append(message)
+        return None
+    return resolve
+
+
+# Each top-level config key: its ExperimentConfig field, the value an absent
+# key takes, and its resolver. Resolvers run in this order, and each reads the
+# fields resolved before it in `cfg` (None for a refused learner or pipeline).
+_SCHEMA = {
+    "learner": ("learner_id", None, _resolve_learner),
+    "combinators": ("combinator_ids", [], _resolve_combinators),
+    "targets": ("targets", [], _resolve_targets),
+    "schedules": ("schedules", [], _resolve_schedules),
+    "horizon": ("horizon", None,
+                _scalar(lambda h: h in NATURALS and h >= 1,
+                        "horizon must be an integer >= 1")),
+    "restrictions": ("restrictions", [], _resolve_restrictions),
+    "adversaries": ("adversaries", [], _resolve_adversaries),
+    "expect": ("expect", "satisfied",
+               _scalar(lambda e: e in _EXPECTS,
+                       f"expect must be one of {'/'.join(_EXPECTS)}")),
+    "output": ("output", None,
+               _scalar(lambda o: o is None or isinstance(o, str),
+                       "output must be a path string")),
+}
 
 
 def validate_config(text: str) -> ExperimentConfig:
@@ -289,86 +345,14 @@ def validate_config(text: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
 
-    errors: list[str] = []
-    for key in sorted(set(raw) - _TOP_KEYS):
-        errors.append(f"unknown config key {key!r}")
-
-    learner_id = raw.get("learner")
-    if learner_id is None:
-        errors.append("missing required key 'learner'")
-    elif learner_id not in LEARNER_IDS:
-        errors.append(f"unknown learner {learner_id!r}; known: "
-                      f"{', '.join(LEARNER_IDS)}")
-
-    comb = raw.get("combinators", [])
-    if not isinstance(comb, list):
-        errors.append("combinators must be a list")
-        comb = []
-    # a tuple, not the dict: an entry may be unhashable
-    bad = [c for c in comb if c not in tuple(COMBINATORS)]
-    for c in bad:
-        errors.append(f"unknown combinator {c!r}; known: "
-                      f"{', '.join(sorted(COMBINATORS))}")
-
-    pipeline = None
-    if learner_id in LEARNER_IDS and not bad:
-        try:
-            pipeline = build_pipeline(learner_id, comb)
-        except ValueError as exc:
-            errors.append(f"pipeline does not compose: {exc}")
-
-    targets = _resolve_targets(raw.get("targets", []), errors)
-    schedules = _resolve_schedules(raw.get("schedules", []), errors)
-
-    horizon = raw.get("horizon")
-    if horizon not in NATURALS or horizon < 1:
-        errors.append("horizon must be an integer >= 1")
-        horizon = 1
-
-    restrictions = raw.get("restrictions", [])
-    if not isinstance(restrictions, list):
-        errors.append("restrictions must be a list")
-        restrictions = []
-    kept = []
-    for rid in restrictions:
-        if rid not in RESTRICTION_IDS:
-            errors.append(f"unknown restriction {rid!r}; known: "
-                          f"{', '.join(RESTRICTION_IDS)}")
-        elif rid not in kept:
-            kept.append(rid)
-
-    adversaries = _resolve_adversaries(raw.get("adversaries", []),
-                                       pipeline, errors)
-
-    expect = raw.get("expect", "satisfied")
-    if expect not in _EXPECTS:
-        errors.append(f"expect must be one of {'/'.join(_EXPECTS)}")
-        expect = "satisfied"
-
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        errors.append("seed must be an integer")
-        seed = 0
-
-    output = raw.get("output")
-    if output is not None and not isinstance(output, str):
-        errors.append("output must be a path string")
-        output = None
-
+    errors = [f"unknown config key {key!r}"
+              for key in sorted(raw.keys() - _SCHEMA.keys())]
+    cfg = {}
+    for key, (field, default, resolve) in _SCHEMA.items():
+        cfg[field] = resolve(raw.get(key, default), cfg, errors)
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(
-        learner_id=learner_id,
-        combinator_ids=tuple(comb),
-        targets=targets,
-        schedules=schedules,
-        horizon=horizon,
-        restrictions=tuple(kept),
-        adversaries=adversaries,
-        expect=expect,
-        seed=seed,
-        output=output,
-    )
+    return ExperimentConfig(**cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +391,6 @@ class AdversaryRow:
 @dataclass(frozen=True)
 class Fingerprint:
     version: str
-    seed: int
     schedule_seeds: tuple[int, ...] = ()
 
 
@@ -417,7 +400,7 @@ class Report:
     horizon: int
     rows: tuple[CheckRow, ...] = ()
     adversaries: tuple[AdversaryRow, ...] = ()
-    fingerprint: Fingerprint = Fingerprint(__version__, 0)
+    fingerprint: Fingerprint = Fingerprint(__version__)
 
 
 def _adversary_row(w: Witness) -> AdversaryRow:
@@ -442,8 +425,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     """Evaluate every (target, schedule, restriction) cell, then adversaries.
 
     Cells are independent: each gets a fresh evaluation context, so the
-    report does not depend on evaluation order. The config seed only
-    goes into the fingerprint.
+    report does not depend on evaluation order.
     """
     pipe = cfg.pipeline()
 
@@ -477,7 +459,6 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     )
     fingerprint = Fingerprint(
         version=__version__,
-        seed=cfg.seed,
         schedule_seeds=tuple(sorted({s.seed for s in cfg.schedules
                                      if s.seed is not None})),
     )
@@ -613,7 +594,6 @@ def render_report(report: Report, mode: str = "text") -> str:
         f"pipeline: {' -> '.join(report.pipeline)}",
         f"horizon: {report.horizon}",
         f"version: {fp.version}",
-        f"seed: {fp.seed}",
         f"checks: {len(report.rows)} ({violated} violated)",
         f"adversaries: {len(report.adversaries)} ({witnesses} witnesses)",
         "",

@@ -114,10 +114,6 @@ class Verdict:
     detail: str = ""
 
 
-class ProbeError(ValueError):
-    pass
-
-
 def _ext_mask(ext: UPSet, width: int) -> int:
     """The extension's members below `width` as an int mask, bit v for v."""
     return int(_expand(ext, width)[::-1], 2) if width else 0
@@ -499,7 +495,7 @@ def revalidate(verdict: Verdict, seq: HypSequence) -> bool:
 def probe_semantic(a: HypSequence, b: HypSequence) -> bool:
     """Pointwise same denotations; labels free to differ."""
     if len(a) != len(b):
-        raise ProbeError("runs of different length are not comparable")
+        raise ValueError("runs of different length are not comparable")
     return all(
         x.extension == y.extension for x, y in zip(a.items, b.items)
     )

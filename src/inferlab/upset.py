@@ -118,6 +118,8 @@ NATURALS = UPSet("", "1")
 
 def parse(text: str) -> UPSet:
     """Parse the P|Q notation, e.g. '|10' (evens) or '10|1' (all but 1)."""
+    if not isinstance(text, str):
+        raise ValueError("P|Q notation must be a string")
     if text.count("|") != 1:
         raise ValueError(f"expected exactly one '|' in {text!r}")
     prefix, period = text.split("|")

@@ -73,6 +73,12 @@ def test_check_exit_two_on_bad_config(tmp_path):
     assert missing.returncode == 2
 
 
+def test_check_exit_two_on_a_top_level_seed(tmp_path):
+    proc = run_cli("check", write_config(tmp_path, seed=0))
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: unknown config key 'seed'\n"
+
+
 def test_check_exit_two_on_undecodable_config(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"learner": "caf\xe9"}')
@@ -152,6 +158,13 @@ def test_algebra_command():
     bad = run_cli("algebra", "relate", "1|", "|1")
     assert bad.returncode == 2
     assert "algebra error" in bad.stderr
+    for args, message in (
+            (("relate", "|1"), "relate takes 2 operands, got 1"),
+            (("complement", "|1", "|0"), "complement takes 1 operand, got 2"),
+            (("member", "|1"), "member takes 2 operands, got 1")):
+        proc = run_cli("algebra", *args)
+        assert proc.returncode == 2
+        assert proc.stderr == f"algebra error: {message}\n"
 
 
 def test_demo_command():

@@ -76,8 +76,7 @@ ROWS = [
       "targets[5]: bad set notation '1|2': bit strings over 0/1 expected, "
       "got '1'|'2'"]),
     ("targets-upset-not-string", {**_BASE, "targets": [{"upset": 5}]},
-     ["targets[0]: bad set notation 5: 'int' object has no attribute "
-      "'count'"]),
+     ["targets[0]: bad set notation 5: P|Q notation must be a string"]),
     ("targets-language",
      {**_BASE, "targets": [{"language": 3},
                            {"language": "finite", "params": []},
@@ -147,7 +146,7 @@ ROWS = [
     ("expect", {**_BASE, "expect": "maybe"},
      ["expect must be one of satisfied/witness"]),
     ("output", {**_BASE, "output": 5}, ["output must be a path string"]),
-    ("seed", {**_BASE, "seed": "x"}, ["seed must be an integer"]),
+    ("seed", {**_BASE, "seed": "x"}, ["unknown config key 'seed'"]),
     # one error from each key, in the order the keys are resolved
     ("several",
      {"zeta": 1, "learner": "zzz", "combinators": 5,

@@ -2,10 +2,12 @@
 
 import json
 import typing
+from pathlib import Path
 
 import pytest
 
 from inferlab.harness import (
+    _SCHEMA,
     AdversaryRow,
     CheckRow,
     ConfigError,
@@ -43,7 +45,14 @@ def test_minimal_config_is_valid():
     assert cfg.schedules == (Schedule("canonical"),)
     assert cfg.restrictions == ("bc", "mon", "caut_tar")
     assert cfg.expect == "satisfied"
-    assert cfg.seed == 0
+
+
+def test_readme_config_example_validates_and_uses_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Config format", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    validate_config(example)
+    assert json.loads(example).keys() == _SCHEMA.keys()
 
 
 def test_unknown_learner_named_in_error():
@@ -259,9 +268,91 @@ def test_parse_report_refuses_mutated_documents_with_value_error():
     assert parse_report(json.dumps(doc)) == report
 
 
+# A machine report written before the config `seed` left the fingerprint.
+_OLDER_CONFIG = {"learner": "cofinite", "targets": [{"upset": "10|1"}],
+                 "schedules": [{"order": "shuffled", "seed": 3}],
+                 "horizon": 4, "restrictions": ["bc", "caut_tar"],
+                 "adversaries": [{"id": "caut_tar", "t_bound": 5}]}
+_OLDER_REPORT = """\
+{
+  "adversaries": [
+    {
+      "adversary": "caut_tar",
+      "element": 1,
+      "indices": [
+        0
+      ],
+      "kind": "restriction-violation",
+      "note": "committed to the naturals at 0, then dropped 1",
+      "opponent": "cofinite",
+      "params": {
+        "n0": 0
+      },
+      "restriction": "caut_tar",
+      "rounds": 0,
+      "split": null,
+      "target": "10|1",
+      "verified": true
+    }
+  ],
+  "fingerprint": {
+    "schedule_seeds": [
+      3
+    ],
+    "seed": 0,
+    "version": "0.1.0"
+  },
+  "horizon": 4,
+  "pipeline": [
+    "cofinite"
+  ],
+  "rows": [
+    {
+      "detail": "extension at 0 strictly covers the target (1 extra)",
+      "element": 1,
+      "extensions": [
+        "|1"
+      ],
+      "indices": [
+        0
+      ],
+      "informant": "shuffled[seed=3]",
+      "language": "10|1",
+      "restriction": "caut_tar",
+      "satisfied": false,
+      "scope": "family",
+      "verified": true
+    },
+    {
+      "detail": "correct from 4",
+      "element": null,
+      "extensions": [],
+      "indices": [],
+      "informant": "shuffled[seed=3]",
+      "language": "10|1",
+      "restriction": "bc",
+      "satisfied": true,
+      "scope": "family",
+      "verified": true
+    }
+  ]
+}
+"""
+
+
+def test_older_report_with_a_seed_parses_and_rerenders_without_it():
+    report = parse_report(_OLDER_REPORT)
+    assert report.fingerprint == Fingerprint("0.1.0", (3,))
+    without_seed = _OLDER_REPORT.replace('    "seed": 0,\n', "")
+    assert without_seed != _OLDER_REPORT
+    assert render_report(report, "machine") == without_seed
+    rerun = run_experiment(validate_config(json.dumps(_OLDER_CONFIG)))
+    assert (rerun.rows, rerun.adversaries) == (report.rows, report.adversaries)
+
+
 def test_empty_report_renders_header_and_zero_rows():
     report = Report(pipeline=("cofinite",), horizon=1,
-                    fingerprint=Fingerprint("0.1.0", 0))
+                    fingerprint=Fingerprint("0.1.0"))
     text = render_report(report, "text")
     assert "checks: 0 (0 violated)" in text
     assert "language" in text  # column header survives with no rows

@@ -24,7 +24,6 @@ from inferlab.interaction import (
 )
 from inferlab.restrictions import (
     RESTRICTION_IDS,
-    ProbeError,
     Verdict,
     check,
     check_all,
@@ -225,7 +224,7 @@ def test_relabelling_preserves_bc_and_breaks_ex():
     assert check("bc", plain).satisfied and check("ex", plain).satisfied
     assert check("bc", fresh).satisfied
     assert not check("ex", fresh).satisfied
-    with pytest.raises(ProbeError):
+    with pytest.raises(ValueError, match="different length"):
         probe_semantic(plain, run(base, inf, 9))
 
 

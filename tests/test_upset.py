@@ -101,6 +101,12 @@ def test_rejects_bad_descriptions():
         parse("1|")
 
 
+@pytest.mark.parametrize("value", [5, b"|1", None, ["|1"], {"|": 1}])
+def test_parse_refuses_a_non_string_with_value_error(value):
+    with pytest.raises(ValueError, match="P\\|Q notation must be a string"):
+        parse(value)
+
+
 def test_parse_and_str_round_trip():
     for text in ("|10", "10|1", "110|01", "|0", "|1", "101|0"):
         assert str(parse(text)) == text

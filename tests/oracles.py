@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 
-from inferlab.combinators import _stage_union
 from inferlab.evidence import DataSequence, Example, content, neg, pos
-from inferlab.hypothesis import Hypothesis, consistent
+from inferlab.hypothesis import Hypothesis, stage_enumerate
 from inferlab.interaction import Learner, as_full_information
-from inferlab.upset import complement, from_elements, union
+from inferlab.upset import EMPTY, UPSet, complement, from_elements, union
 
 
 def raw_member(prefix: str, period: str, x: int) -> bool:
@@ -259,6 +258,36 @@ def raw_canonical(prefix: str, period: str) -> tuple[str, str]:
     return p, q
 
 
+def raw_consistent(e, d) -> bool:
+    """Does every example of the evidence d agree with e, a `Hypothesis`
+    or a `UPSet`? Asked of each example in turn."""
+    ext = e.extension if isinstance(e, Hypothesis) else e
+    return all(ext.member(ex.value) == bool(ex.label) for ex in d.items)
+
+
+def raw_stage_union(e: Hypothesis, d: DataSequence) -> UPSet:
+    """`combinators._stage_union` by testing each example of d in turn.
+
+    A stage of e counts once every positive of d is visible in it and no
+    negative of d is; the union of those stages is e's extension when d
+    agrees with it, empty when a positive is missed, and otherwise the
+    stage just before the earliest conflict is scheduled, if every
+    positive is visible by then.
+    """
+    wrong = [ex for ex in d.items
+             if e.extension.member(ex.value) != bool(ex.label)]
+    if not wrong:
+        return e.extension
+    if any(ex.label for ex in wrong):
+        return EMPTY
+    t_bad = min(e.delay.of(ex.value) for ex in wrong)
+    t_pos = max((e.delay.of(ex.value) for ex in d.items if ex.label),
+                default=0)
+    if t_bad == 0 or t_pos > t_bad - 1:
+        return EMPTY
+    return from_elements(stage_enumerate(e, t_bad - 1))
+
+
 def raw_cons_wmon(learner: Learner) -> Learner:
     """`cons_wmon_wrapper` by rebuilding every prefix and every window."""
     h = as_full_information(learner)
@@ -271,11 +300,11 @@ def raw_cons_wmon(learner: Learner) -> Learner:
                 continue
             tau = DataSequence(d.items[:k])
             ext = union(
-                from_elements(pos(tau)), _stage_union(h.fn(tau, ctx), tau)
+                from_elements(pos(tau)), raw_stage_union(h.fn(tau, ctx), tau)
             )
             for j in range(k):
                 prev = ctx.memo[(*tag, d.items[:j])]
-                ext = union(ext, _stage_union(prev, tau))
+                ext = union(ext, raw_stage_union(prev, tau))
             ctx.memo[key] = Hypothesis(ctx.fresh_label(), ext)
         return ctx.memo[(*tag, d.items)]
 
@@ -304,7 +333,7 @@ def raw_dual_poison(learner: Learner) -> Learner:
             ext = from_elements(p)
         else:
             base = learner.fn(content(d), ctx)
-            if consistent(base, d):
+            if raw_consistent(base, d):
                 ext = base.extension
             else:
                 ext = complement(from_elements(neg(d)))
@@ -348,7 +377,7 @@ def raw_fourcase(learner: Learner) -> Learner:
                     ext = blow
                 elif not all(base.extension.member(x) for x in p):
                     ext = from_elements(p)
-                elif consistent(base, red):
+                elif raw_consistent(base, red):
                     ext = base.extension
                 else:
                     ext = blow

@@ -23,12 +23,12 @@ from dataclasses import dataclass, field, fields
 
 from .catalog import language
 from .evidence import (DataSet, Informant, canonical_informant, content,
-                       format_sequence, outline, pos, prefix)
+                       format_sequence, outline, prefix)
 from .hypothesis import Hypothesis
 from .interaction import EvalContext, HypSequence, Learner, run
 from .restrictions import Verdict, check, revalidate, violation
 from .upset import (NATURALS, UPSet, complement, difference, from_elements,
-                    min_element, parse, union)
+                    from_mask, min_element, parse, union)
 
 __all__ = [
     "ADVERSARY_IDS",
@@ -279,18 +279,19 @@ def _three_stage(g: _Game) -> Witness:
 
 def _succ(d: DataSet, p: int, t: int) -> DataSet:
     """Content of the canonical informant for pos(d) + {p}, length p + t."""
-    target = from_elements(pos(d) | {p})
+    target = from_mask(d.masks[0] | 1 << p)
     return content(prefix(canonical_informant(target), p + t))
 
 
 def _fresh(d: DataSet) -> int:
     """The first of the two fresh numbers a round offers: past all of d."""
-    return max(outline(d), default=-1) + 1
+    p, n = d.masks
+    return (p | n).bit_length()
 
 
 def _split(d: DataSet) -> tuple[UPSet, UPSet]:
     """The two targets a round can grow: pos(d) plus either fresh number."""
-    return tuple(from_elements(pos(d) | {_fresh(d) + b}) for b in (0, 1))
+    return tuple(from_mask(d.masks[0] | 1 << (_fresh(d) + b)) for b in (0, 1))
 
 
 def _label_flip(opponent: Learner, d: DataSet, label: int, t_bound: int, ctx):

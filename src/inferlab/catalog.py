@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .evidence import format_sequence, neg, pos
+from .evidence import format_sequence, pos
 from .hypothesis import Hypothesis, hypothesis_for
 from .interaction import Learner
 from .upset import (EMPTY, NATURALS, UPSet, complement, from_elements,
@@ -149,7 +149,7 @@ def language(lang_id: str, **params) -> UPSet:
 
 def _finite_enum(k: int) -> UPSet:
     # k-th finite set via binary digits; enumerates all of them
-    return from_elements(i for i in range(k.bit_length()) if k >> i & 1)
+    return from_mask(k)
 
 
 def _finite_sets() -> Iterator[UPSet]:
@@ -187,10 +187,11 @@ def _maxpos(d, ctx) -> Hypothesis:
 
 
 def _segment(sigma, ctx) -> Hypothesis:
-    ns = neg(sigma)
+    ns = sigma.masks[1]
     if not ns:
         return hypothesis_for(NATURALS)
-    return hypothesis_for(from_elements(range(min(ns))))
+    # the segment below the least negative: the bits under its lowest one
+    return hypothesis_for(from_mask((ns & -ns) - 1))
 
 
 def _n_or_fin(sigma, ctx) -> Hypothesis:

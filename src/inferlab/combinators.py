@@ -15,9 +15,11 @@ A node stands for one evidence state and its children are keyed by the
 next example. A call walks its evidence from the root and builds only
 the missing nodes, each from its parent plus one example, so a run asks
 the base learner about once per prefix. A node keeps no copy of its
-evidence, whose positives and negatives are read off the prefix while
-the node is built, so a run's trie takes memory linear in its length.
-Besides its answer, a node carries what its wrapper needs next:
+evidence, whose positives and negatives are read off the prefix's masks
+while the node is built, so a run's trie takes memory linear in its
+length. Whether a base answer agrees with the data is one mask test,
+`evidence.conflicts`, whatever the prefix's length. Besides its answer,
+a node carries what its wrapper needs next:
 
 - `cons_wmon_wrapper`: for each distinct earlier answer whose window is
   not yet empty, that window (the least shown negative inside the answer
@@ -34,15 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .evidence import (
-    DataSequence,
-    Example,
-    _trusted,
-    content,
-    neg,
-    outline,
-    pos,
-)
+from .evidence import DataSequence, Example, _trusted, conflicts, content
 from .hypothesis import Hypothesis, stage_enumerate
 from .interaction import Learner, as_full_information
 from .upset import (
@@ -53,26 +47,27 @@ from .upset import (
     difference,
     from_elements,
     from_mask,
+    mask_elements,
     union,
 )
 
 
 def prefix_length(d) -> int:
-    """Length of the initial segment the evidence covers without gaps."""
-    seen = outline(d)
-    n = 0
-    while n in seen:
-        n += 1
-    return n
+    """Length of the initial segment the evidence covers without gaps: the
+    trailing one bits of its values' mask."""
+    p, n = d.masks
+    shown = p | n
+    return (~shown & (shown + 1)).bit_length() - 1
 
 
 def canonical_prefix(d) -> DataSequence:
     """The evidence rearranged as a canonical presentation, cut at a gap."""
-    positives = pos(d)
+    k = prefix_length(d)
+    p, n = (m & ((1 << k) - 1) for m in d.masks)
+    positives = set(mask_elements(p))
     return _trusted(DataSequence, tuple(
-        Example(i, 1 if i in positives else 0)
-        for i in range(prefix_length(d))
-    ))
+        Example(i, 1 if i in positives else 0) for i in range(k)
+    ), (p, n))
 
 
 def to_set_driven(learner: Learner) -> Learner:
@@ -107,15 +102,17 @@ def _stage_union(e: Hypothesis, d: DataSequence) -> UPSet:
 
     A stage counts only once every positive of d is visible in it and no
     negative of d is. Whether that window is empty, cut short by the first
-    visible conflict, or unbounded is decided by the delay schedule alone.
+    visible conflict, or unbounded is decided by the delay schedule alone,
+    which is asked only when e contradicts a negative of d.
     """
-    wrong = [ex for ex in d.items if not ex.agrees(e.extension)]
+    ps = d.masks[0]
+    wrong = conflicts(d.masks, e.extension)
     if not wrong:
         return e.extension
-    if any(ex.label for ex in wrong):
+    if wrong & ps:
         return EMPTY
-    t_bad = min(e.delay.of(ex.value) for ex in wrong)
-    t_pos = max((e.delay.of(x) for x in pos(d)), default=0)
+    t_bad = min(e.delay.of(x) for x in mask_elements(wrong))
+    t_pos = max((e.delay.of(x) for x in mask_elements(ps)), default=0)
     if t_bad == 0 or t_pos > t_bad - 1:
         return EMPTY
     return from_elements(stage_enumerate(e, t_bad - 1))
@@ -210,12 +207,12 @@ def cons_wmon_wrapper(learner: Learner) -> Learner:
 
     def grow(parent, tau, ctx):
         # carry: the windows of earlier answers, see _narrow
-        p, live = pos(tau), {}
+        ps, live = tau.masks[0], {}
         if parent is not None:
             ext = parent.hyp.extension
             live = {**parent.carry, ext: parent.carry.get(ext, (None, ext))}
-            live = _narrow(live, tau.items[-1], max(p, default=0))
-        ext = union(from_elements(p), _stage_union(h.fn(tau, ctx), tau))
+            live = _narrow(live, tau.items[-1], max(ps.bit_length() - 1, 0))
+        ext = union(from_mask(ps), _stage_union(h.fn(tau, ctx), tau))
         for _, window in live.values():
             ext = union(ext, window)
         return _Node(Hypothesis(ctx.fresh_label(), ext), live)
@@ -239,15 +236,16 @@ def dual_wmon_poison(learner: Learner) -> Learner:
         # carry: whether some base answer since the last new positive
         # missed a shown positive, and the answer's extension
         guess = learner.fn(content(tau), ctx).extension
-        wrong = {ex.label for ex in tau.items if not ex.agrees(guess)}
-        poisoned = 1 in wrong or (
+        ps, ns = tau.masks
+        wrong = conflicts(tau.masks, guess)
+        poisoned = bool(wrong & ps) or (
             parent is not None and parent.carry[0]
             and not (tau.items[-1].label and _last_is_new(tau))
         )
         if poisoned:
-            ext = from_elements(pos(tau))
+            ext = from_mask(ps)
         elif wrong:
-            ext = complement(from_elements(neg(tau)))
+            ext = complement(from_mask(ns))
         else:
             ext = guess
         return _Node(None, (poisoned, ext))
@@ -281,13 +279,14 @@ def cons_wmon_fourcase(learner: Learner) -> Learner:
             return _Node(parent.hyp, parent.carry)
         else:
             fired = parent.carry and tau.items[-1].label == 1
-        blow = complement(from_elements(neg(tau)))
+        ps, ns = tau.masks
+        blow = complement(from_mask(ns))
         base = h.fn(tau, ctx).extension
-        wrong = {ex.label for ex in tau.items if not ex.agrees(base)}
+        wrong = conflicts(tau.masks, base)
         if fired:
             ext = blow
-        elif 1 in wrong:
-            ext = from_elements(pos(tau))
+        elif wrong & ps:
+            ext = from_mask(ps)
         elif wrong:
             ext = blow
         else:

@@ -12,16 +12,12 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .upset import NATURALS, UPSet
+from .upset import NATURALS, UPSet, mask_elements, to_mask
 
 
 class Example(NamedTuple):
     value: int
     label: int  # 1 = positive, 0 = negative
-
-    def agrees(self, u: UPSet) -> bool:
-        """Whether the set `u` gives this example's value its label."""
-        return u.member(self.value) == bool(self.label)
 
 
 def _as_examples(items) -> tuple[Example, ...]:
@@ -42,30 +38,44 @@ def _as_examples(items) -> tuple[Example, ...]:
     return tuple(out)
 
 
-def _check_label_consistent(items: Iterable[Example]) -> None:
-    seen: dict[int, int] = {}
-    for ex in items:
-        if seen.setdefault(ex.value, ex.label) != ex.label:
-            raise ValueError(f"contradictory labels for {ex.value}")
+def _shown(masks: tuple[int, int], ex: Example) -> tuple[int, int]:
+    """The masks once `ex` is shown too: the very same pair if it was shown
+    before. A value already shown with the other label is refused."""
+    p, n = masks
+    bit = 1 << ex.value
+    if (n if ex.label else p) & bit:
+        raise ValueError(f"contradictory labels for {ex.value}")
+    if (p if ex.label else n) & bit:
+        return masks
+    return (p | bit, n) if ex.label else (p, n | bit)
 
 
 def _masks_of(items: Iterable[Example]) -> tuple[int, int]:
-    """The positive and the negative values as int masks, bit v for v."""
-    masks = [0, 0]
+    """The positive and the negative values as int masks, bit v for v; no
+    value may carry two labels."""
+    masks = (0, 0)
     for ex in items:
-        masks[ex.label] |= 1 << ex.value
-    return masks[1], masks[0]
+        masks = _shown(masks, ex)
+    return masks
 
 
-@dataclass(frozen=True)
-class DataSequence:
-    """Finite ordered evidence; never assigns two labels to one value."""
+def conflicts(masks: tuple[int, int], u: UPSet) -> int:
+    """The shown values that the set `u` contradicts, as an int mask: the
+    positives outside `u` and the negatives inside it. `masks` are the
+    (positives, negatives) of some evidence, so this is 0 iff `u` agrees
+    with all of it."""
+    p, n = masks
+    e = to_mask(u, (p | n).bit_length())
+    return (p & ~e) | (n & e)
 
-    items: tuple[Example, ...] = ()
+
+class _Evidence:
+    """What both kinds of evidence share: the items, validated once into
+    the container `_container`, and their masks."""
 
     def __post_init__(self):
-        items = _as_examples(self.items)
-        _check_label_consistent(items)
+        items = self._container(_as_examples(self.items))
+        object.__setattr__(self, "masks", _masks_of(items))
         object.__setattr__(self, "items", items)
 
     def __len__(self) -> int:
@@ -73,47 +83,41 @@ class DataSequence:
 
     def __iter__(self) -> Iterator[Example]:
         return iter(self.items)
-
-    def __getitem__(self, i):
-        return self.items[i]
 
     @cached_property
     def masks(self) -> tuple[int, int]:
         """(positives, negatives) as int masks, bit v for value v.
 
-        Made from `items` on first read and kept; not a field, so equality
-        and hashing see `items` alone.
+        Made while the items are validated, or, for evidence built over
+        items already validated, on first read; then kept. Not a field, so
+        equality and hashing see `items` alone.
         """
         return _masks_of(self.items)
 
 
 @dataclass(frozen=True)
-class DataSet:
+class DataSequence(_Evidence):
+    """Finite ordered evidence; never assigns two labels to one value."""
+
+    items: tuple[Example, ...] = ()
+    _container = tuple
+
+    def __getitem__(self, i):
+        return self.items[i]
+
+
+@dataclass(frozen=True)
+class DataSet(_Evidence):
     """Finite unordered evidence; same consistency invariant."""
 
     items: frozenset[Example] = frozenset()
-
-    def __post_init__(self):
-        items = frozenset(_as_examples(self.items))
-        _check_label_consistent(items)
-        object.__setattr__(self, "items", items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self) -> Iterator[Example]:
-        return iter(self.items)
+    _container = frozenset
 
     def __contains__(self, ex) -> bool:
         return ex in self.items
 
     def sorted(self) -> tuple[Example, ...]:
         return tuple(sorted(self.items))
-
-    @cached_property
-    def masks(self) -> tuple[int, int]:
-        """(positives, negatives) as int masks, as for `DataSequence`."""
-        return _masks_of(self.items)
 
 
 Evidence = DataSequence | DataSet
@@ -134,22 +138,22 @@ def _trusted(cls, items, masks=None):
 
 
 def pos(d: Evidence) -> frozenset[int]:
-    return frozenset(ex.value for ex in d.items if ex.label == 1)
+    return frozenset(mask_elements(d.masks[0]))
 
 
 def neg(d: Evidence) -> frozenset[int]:
-    return frozenset(ex.value for ex in d.items if ex.label == 0)
+    return frozenset(mask_elements(d.masks[1]))
 
 
 def outline(d: Evidence) -> frozenset[int]:
-    return frozenset(ex.value for ex in d.items)
+    p, n = d.masks
+    return frozenset(mask_elements(p | n))
 
 
 def content(d: Evidence) -> DataSet:
     if isinstance(d, DataSet):
         return d
-    # already validated; the masks, where already made, are the same
-    return _trusted(DataSet, frozenset(d.items), vars(d).get("masks"))
+    return _trusted(DataSet, frozenset(d.items), d.masks)
 
 
 def parse_sequence(text: str) -> DataSequence:
@@ -205,8 +209,12 @@ class Informant:
         head = _as_examples(
             (x, int(self.target.member(x))) if x in NATURALS else x
             for x in self.head)
+        # each label's values are asked apart: a value shown with both
+        # labels contradicts the target under one, and that one is named
+        wrong = [conflicts(_masks_of(ex for ex in head if ex.label == b),
+                           self.target) for b in (0, 1)]
         for ex in head:
-            if not ex.agrees(self.target):
+            if wrong[ex.label] >> ex.value & 1:
                 raise ValueError(
                     f"head example {ex} contradicts target {self.target}"
                 )
@@ -260,11 +268,6 @@ class EvidenceIndex:
     def __init__(self, masks: Iterable[tuple[int, int]]):
         self.positives, self.negatives = map(tuple, zip(*masks))
 
-    @property
-    def width(self) -> int:
-        """One past the largest value shown, 0 if none: the masks' width."""
-        return (self.positives[-1] | self.negatives[-1]).bit_length()
-
 
 def prefixes(
     informant: Informant, horizon: int
@@ -284,13 +287,8 @@ def prefixes(
     yield d, dset
     for i in range(horizon):
         (ex,) = _as_examples((informant.example_at(i),))
-        bit, (p, n) = 1 << ex.value, d.masks
-        if (n if ex.label else p) & bit:
-            raise ValueError(f"contradictory labels for {ex.value}")
-        if (p if ex.label else n) & bit:  # shown before: nothing new
-            d = _trusted(DataSequence, d.items + (ex,), d.masks)
-        else:
-            masks = (p | bit, n) if ex.label else (p, n | bit)
-            d = _trusted(DataSequence, d.items + (ex,), masks)
+        masks = _shown(d.masks, ex)
+        if masks is not d.masks:  # a new example: the content grows
             dset = _trusted(DataSet, dset.items | {ex}, masks)
+        d = _trusted(DataSequence, d.items + (ex,), masks)
         yield d, dset

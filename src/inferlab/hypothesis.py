@@ -85,11 +85,11 @@ def stage_enumerate(h: Hypothesis, t: int) -> frozenset[int]:
 
 def consistent(e, d: evidence.Evidence) -> bool:
     """Every example of the evidence d agrees with e, a `Hypothesis` or a
-    `UPSet`."""
+    `UPSet`: e contradicts none of d's values (`evidence.conflicts`)."""
     ext = e.extension if isinstance(e, Hypothesis) else e
     if not isinstance(ext, UPSet):
         raise TypeError(f"no extension for {e!r}")
-    return all(ex.agrees(ext) for ex in d.items)
+    return not evidence.conflicts(d.masks, ext)
 
 
 _DIGITS = str.maketrans("01|", "123")

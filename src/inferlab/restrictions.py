@@ -41,11 +41,13 @@ fewer pairs:
 Whether an extension agrees with the data shown before t (cons, and the
 weakly monotone gate) is answered from the run's evidence index
 (`HypSequence.index`), the positive and the negative values of every
-prefix as int masks, never by reading the informant again. With e the
-extension's mask, the first t examples conflict with it iff
-(P_t & ~e) | (N_t & e) is nonzero. That only grows with t, so the first
-conflict is a binary search over the prefixes, O(log horizon) mask tests,
-and the contradicted values at t are that expression's bits.
+prefix as int masks, never by reading the informant again. The values an
+extension contradicts among the first t examples are
+`evidence.conflicts` of the masks P_t and N_t, (P_t & ~e) | (N_t & e) for
+e the extension's mask. A value keeps its label throughout a run, so the
+first t examples conflict iff they show one of the values the whole run
+contradicts. That only grows with t, so the first conflict is a binary
+search over the prefixes, O(log horizon) mask tests.
 
 Every restriction is declared once, in `_DETAIL`, which maps its id, in
 report order, to the wording of its violation; `RESTRICTION_IDS` and the
@@ -64,16 +66,16 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .evidence import EvidenceIndex
+from .evidence import EvidenceIndex, conflicts
 from .interaction import HypSequence
 from .upset import (
     EMPTY,
     NATURALS,
     Relation,
     UPSet,
-    _expand,
     difference,
     intersection,
+    mask_elements,
     min_element,
     relate,
     union,
@@ -114,31 +116,22 @@ class Verdict:
     detail: str = ""
 
 
-def _ext_mask(ext: UPSet, width: int) -> int:
-    """The extension's members below `width` as an int mask, bit v for v."""
-    return int(_expand(ext, width)[::-1], 2) if width else 0
-
-
-def _conflicts(index: EvidenceIndex, n: int, e: int) -> int:
-    """The values among the first n examples that the set with mask `e`
-    contradicts: positives outside it and negatives inside it."""
-    return (index.positives[n] & ~e) | (index.negatives[n] & e)
-
-
 @lru_cache(maxsize=1024)
 def _first_conflict(ext: UPSet, index: EvidenceIndex) -> int | None:
     """Least index of the examples shown whose datum contradicts `ext`.
 
     A prefix that conflicts with the extension stays in conflict as it
     grows, so a binary search over the prefixes' masks finds the first
-    one that does; its last example is the first conflict. Bounded, so a
-    long sweep keeps only the indices of its latest runs alive.
+    one that shows a contradicted value; its last example is the first
+    conflict. Bounded, so a long sweep keeps only the indices of its
+    latest runs alive.
     """
-    e = _ext_mask(ext, index.width)
-    end = len(index.positives)
-    t = bisect_left(range(end), True,
-                    key=lambda n: bool(_conflicts(index, n, e)))
-    return t - 1 if t < end else None
+    ps, ns = index.positives, index.negatives
+    wrong = conflicts((ps[-1], ns[-1]), ext)
+    if not wrong:
+        return None
+    return bisect_left(range(len(ps)), True,
+                       key=lambda n: bool((ps[n] | ns[n]) & wrong)) - 1
 
 
 def _consistent_at(ext: UPSet, index: EvidenceIndex, t: int) -> bool:
@@ -207,8 +200,8 @@ def _cons_bad(seq: HypSequence, indices):
     The site is (n,). The first value is the one shown first, the datum at
     the first conflict. It is new there (had it been shown before, the
     conflict would have come then), so it is the one bit its prefix adds.
-    The others are read off the masks of the first n examples, in
-    increasing order, and only when asked for.
+    The others are the conflicts of the first n examples, in increasing
+    order, read only when asked for.
     """
     if len(indices) != 1:
         return
@@ -219,11 +212,7 @@ def _cons_bad(seq: HypSequence, indices):
         return
     ps, ns = index.positives, index.negatives
     yield ((ps[fc + 1] ^ ps[fc]) | (ns[fc + 1] ^ ns[fc])).bit_length() - 1
-    bad = _conflicts(index, n, _ext_mask(w, index.width))
-    while bad:
-        low = bad & -bad
-        yield low.bit_length() - 1
-        bad ^= low
+    yield from mask_elements(conflicts((ps[n], ns[n]), w))
 
 
 def _caut_tar_bad(seq: HypSequence, indices) -> UPSet:

@@ -159,6 +159,18 @@ def from_mask(m: int) -> UPSet:
     return UPSet(format(m, "b")[::-1], "0") if m else EMPTY
 
 
+def to_mask(u: UPSet, width: int) -> int:
+    """The members of u below `width` as an int mask, bit x for x; the
+    inverse of `from_mask` on a finite set whose members lie below it."""
+    return int(_expand(u, width)[::-1], 2) if width else 0
+
+
+def mask_elements(m: int) -> list[int]:
+    """The set bits of m, increasing: the elements of `from_mask(m)`, read
+    off its bit string in time linear in its width."""
+    return [x for x, bit in enumerate(format(m, "b")[::-1]) if bit == "1"]
+
+
 def _masks(a: UPSet, b: UPSet) -> tuple[int, int, int, int]:
     """Both sets as int bit masks over one common cycle.
 

@@ -25,13 +25,19 @@ from inferlab.evidence import (
     Example,
     Informant,
     canonical_informant,
+    conflicts,
     content,
     neg,
     parse_sequence,
     pos,
     prefix,
 )
-from inferlab.hypothesis import DelaySchedule, Hypothesis, hypothesis_for
+from inferlab.hypothesis import (
+    DelaySchedule,
+    Hypothesis,
+    consistent,
+    hypothesis_for,
+)
 from inferlab.interaction import (
     EvalContext,
     Learner,
@@ -43,6 +49,7 @@ from inferlab.restrictions import check, check_all
 from inferlab.upset import (
     EMPTY,
     NATURALS,
+    UPSet,
     complement,
     from_elements,
     parse,
@@ -282,6 +289,73 @@ def test_wrappers_make_a_linear_number_of_base_calls(monkeypatch, wrap,
         assert validated == 0  # every prefix is built from trusted parts
         counts.append(calls)
     assert counts[1] <= 2.5 * counts[0], counts
+
+
+@pytest.mark.parametrize("wrap", (cons_wmon_wrapper, cons_wmon_fourcase,
+                                  dual_wmon_poison),
+                         ids=("cons_wmon", "fourcase", "dual_wmon_poison"))
+def test_wrapper_membership_tests_grow_linearly(monkeypatch, wrap):
+    """Testing a base answer against the data is one mask test, so a run
+    makes a number of membership tests linear in its horizon, where a test
+    of each example shown would make a quadratic number."""
+    calls = 0
+    member = UPSet.member
+
+    def counted(u, x):
+        nonlocal calls
+        calls += 1
+        return member(u, x)
+
+    monkeypatch.setattr(UPSet, "member", counted)
+    counts = []
+    for h in (100, 400):
+        calls = 0
+        run(wrap(catalog_learner("cofinite")),
+            canonical_informant(parse("10|1")), h)
+        counts.append(calls)
+    assert counts[1] <= 5 * counts[0], counts
+
+
+@st.composite
+def _evidence(draw):
+    """A sequence in any order, with repeats, whose labels are consistent."""
+    labels = draw(st.dictionaries(st.integers(0, 20), st.integers(0, 1),
+                                  max_size=10))
+    values = draw(st.lists(st.sampled_from(sorted(labels)), max_size=14)
+                  if labels else st.just([]))
+    return DataSequence(tuple(Example(v, labels[v]) for v in values))
+
+
+_bits = st.text("01", max_size=8)
+
+
+@st.composite
+def _hypotheses(draw):
+    """A hypothesis over a random P|Q set, whose delay schedule has a
+    random slope, offset and overrides for some of its members."""
+    ext = UPSet(draw(_bits), draw(st.text("01", min_size=1, max_size=4)))
+    members = [x for x in range(24) if ext.member(x)]
+    late = draw(st.lists(st.tuples(st.sampled_from(members),
+                                   st.integers(0, 12)), max_size=3)
+                if members else st.just([]))
+    delay = DelaySchedule(tuple(dict((x, x + k) for x, k in late).items()),
+                          draw(st.integers(1, 3)), draw(st.integers(0, 5)))
+    return Hypothesis(draw(st.integers(0, 9)), ext, delay)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_evidence(), _hypotheses())
+def test_agreement_matches_the_example_walk(d, h):
+    """`conflicts`, `consistent` and `_stage_union` answer as the tests of
+    each example shown do."""
+    u = h.extension
+    wrong = {ex.value for ex in d if u.member(ex.value) != bool(ex.label)}
+    assert conflicts(d.masks, u) == sum(1 << x for x in wrong)
+    assert conflicts(content(d).masks, u) == conflicts(d.masks, u)
+    for e in (u, h):
+        assert consistent(e, d) == consistent(e, content(d)) \
+            == oracles.raw_consistent(e, d) == (not wrong)
+    assert _stage_union(h, d) == oracles.raw_stage_union(h, d)
 
 
 def test_set_driven_base_is_handed_unvalidated_content(monkeypatch):

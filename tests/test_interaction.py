@@ -9,7 +9,6 @@ from inferlab.evidence import (
     Informant,
     canonical_informant,
     content,
-    neg,
     pos,
     prefix,
 )
@@ -232,8 +231,9 @@ def test_evidence_with_masks_compares_as_plain_evidence(kind):
     for n, d in enumerate(handed):
         plain = plain_type(d.items)
         assert d == plain and hash(d) == hash(plain)
-        assert "masks" in vars(d) and "masks" not in vars(plain)
+        assert "masks" in vars(d) and "masks" in vars(plain)
         assert d.masks == plain.masks == (
-            sum(1 << x for x in pos(d)), sum(1 << x for x in neg(d)))
+            sum(1 << x for x in {ex.value for ex in d.items if ex.label}),
+            sum(1 << x for x in {ex.value for ex in d.items if not ex.label}))
         assert d == plain and hash(d) == hash(plain)
         assert (seq.index.positives[n], seq.index.negatives[n]) == d.masks

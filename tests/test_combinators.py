@@ -348,12 +348,12 @@ def _hypotheses(draw):
 def test_agreement_matches_the_example_walk(d, h):
     """`conflicts`, `consistent` and `_stage_union` answer as the tests of
     each example shown do."""
-    u = h.extension
+    u, dset = h.extension, DataSet(d.items)
     wrong = {ex.value for ex in d if u.member(ex.value) != bool(ex.label)}
-    assert conflicts(d.masks, u) == sum(1 << x for x in wrong)
-    assert conflicts(content(d).masks, u) == conflicts(d.masks, u)
+    assert conflicts(d.masks, u) == conflicts(dset.masks, u) \
+        == sum(1 << x for x in wrong)
     for e in (u, h):
-        assert consistent(e, d) == consistent(e, content(d)) \
+        assert consistent(e, d) == consistent(e, dset) \
             == oracles.raw_consistent(e, d) == (not wrong)
     assert _stage_union(h, d) == oracles.raw_stage_union(h, d)
 

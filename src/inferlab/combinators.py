@@ -12,14 +12,17 @@ The three memoizing wrappers (`cons_wmon_wrapper`, `cons_wmon_fourcase`,
 `dual_wmon_poison`) answer from a prefix trie kept in `ctx.memo` under a
 key of their own, so a run sees a stable hypothesis per evidence state.
 A node stands for one evidence state and its children are keyed by the
-next example. A call walks its evidence from the root and builds only
-the missing nodes, each from its parent plus one example, so a run asks
-the base learner about once per prefix. A node keeps no copy of its
-evidence, whose positives and negatives are read off the prefix's masks
-while the node is built, so a run's trie takes memory linear in its
-length. Whether a base answer agrees with the data is one mask test,
-`evidence.conflicts`, whatever the prefix's length. Besides its answer,
-a node carries what its wrapper needs next:
+next example. The root remembers the node of the last call's evidence
+and where that evidence ended in its run, so the next prefix of the same
+run takes one child step. Any other evidence is walked from the root.
+Either way only the missing nodes are built, each from its parent plus
+one example, so a run takes one trie step and asks the base learner
+about once per prefix. A node keeps no copy of its evidence, whose
+positives and negatives are read off the prefix's masks while the node
+is built, so a run's trie takes memory linear in its length. Whether a
+base answer agrees with the data is one mask test, `evidence.conflicts`,
+whatever the prefix's length. Besides its answer, a node carries what
+its wrapper needs next:
 
 - `cons_wmon_wrapper`: for each distinct earlier answer whose window is
   not yet empty, that window (the least shown negative inside the answer
@@ -35,8 +38,10 @@ a node carries what its wrapper needs next:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
-from .evidence import DataSequence, Example, _trusted, conflicts, content
+from .evidence import (DataSequence, Example, _shown, _view, conflicts,
+                       content)
 from .hypothesis import Hypothesis, stage_enumerate
 from .interaction import Learner, as_full_information
 from .upset import (
@@ -47,7 +52,6 @@ from .upset import (
     difference,
     from_elements,
     from_mask,
-    mask_elements,
     union,
 )
 
@@ -60,14 +64,32 @@ def prefix_length(d) -> int:
     return (~shown & (shown + 1)).bit_length() - 1
 
 
+class _Canonical:
+    """The canonical presentation of the set whose members are the bits of
+    `positives`: example i is (i, bit i). Endless; a view reads its first
+    examples."""
+
+    __slots__ = ("positives",)
+
+    def __init__(self, positives: int):
+        self.positives = positives
+
+    def __getitem__(self, i: int) -> Example:
+        return Example(i, self.positives >> i & 1)
+
+    def __iter__(self):
+        return map(self.__getitem__, count())
+
+
 def canonical_prefix(d) -> DataSequence:
-    """The evidence rearranged as a canonical presentation, cut at a gap."""
+    """The evidence rearranged as a canonical presentation, cut at a gap.
+
+    A view with the masks cut to the first k values: its k examples are
+    built only when something reads them.
+    """
     k = prefix_length(d)
     p, n = (m & ((1 << k) - 1) for m in d.masks)
-    positives = set(mask_elements(p))
-    return _trusted(DataSequence, tuple(
-        Example(i, 1 if i in positives else 0) for i in range(k)
-    ), (p, n))
+    return _view(DataSequence, _Canonical(p), k, (p, n))
 
 
 def to_set_driven(learner: Learner) -> Learner:
@@ -97,13 +119,30 @@ def patched_learner(learner: Learner) -> Learner:
     return Learner(f"{learner.name}[patched]", learner.kind, fn)
 
 
+def _delay_range(delay, m: int) -> tuple[int, int]:
+    """The least and the largest delay of the values in the nonzero mask m.
+
+    The default delay grows with the value, so among the values of m
+    without an override only the least and the largest one can give
+    either; the overrides inside m are read as they are.
+    """
+    inside = [(v, t) for v, t in delay.overrides if m >> v & 1]
+    free = m & ~sum(1 << v for v, _ in inside)
+    ts = [t for _, t in inside]
+    if free:
+        ts += (delay.of((free & -free).bit_length() - 1),
+               delay.of(free.bit_length() - 1))
+    return min(ts), max(ts)
+
+
 def _stage_union(e: Hypothesis, d: DataSequence) -> UPSet:
     """Union of all enumeration stages of e that are consistent with d.
 
     A stage counts only once every positive of d is visible in it and no
     negative of d is. Whether that window is empty, cut short by the first
     visible conflict, or unbounded is decided by the delay schedule alone,
-    which is asked only when e contradicts a negative of d.
+    which is asked only when e contradicts a negative of d, and then for
+    at most four values (`_delay_range`), however many d shows.
     """
     ps = d.masks[0]
     wrong = conflicts(d.masks, e.extension)
@@ -111,8 +150,8 @@ def _stage_union(e: Hypothesis, d: DataSequence) -> UPSet:
         return e.extension
     if wrong & ps:
         return EMPTY
-    t_bad = min(e.delay.of(x) for x in mask_elements(wrong))
-    t_pos = max((e.delay.of(x) for x in mask_elements(ps)), default=0)
+    t_bad = _delay_range(e.delay, wrong)[0]
+    t_pos = _delay_range(e.delay, ps)[1] if ps else 0
     if t_bad == 0 or t_pos > t_bad - 1:
         return EMPTY
     return from_elements(stage_enumerate(e, t_bad - 1))
@@ -124,17 +163,16 @@ class _Node:
 
     Compared field by field, so two tries grown by the same calls are
     equal. `hyp` is the wrapper's answer once made and `carry` whatever
-    the wrapper hands on to the next state.
+    the wrapper hands on to the next state. `last` is set at the root
+    only: the run, length, node and masks of the last call's evidence.
+    It is not compared, so what a trie holds does not depend on whether
+    its calls came along one run.
     """
 
     hyp: Hypothesis | None
     carry: object
     children: dict[Example, "_Node"] = field(default_factory=dict)
-
-
-def _last_is_new(tau: DataSequence) -> bool:
-    """Whether the last example of a nonempty prefix appears there first."""
-    return tau.items.index(tau.items[-1]) == len(tau) - 1
+    last: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def _stored(node: _Node, ctx) -> Hypothesis:
@@ -144,28 +182,41 @@ def _stored(node: _Node, ctx) -> Hypothesis:
 def _trie_learner(name: str, grow, answer=_stored) -> Learner:
     """A G learner that answers from a prefix trie kept in `ctx.memo`.
 
-    `grow(parent, tau, ctx)` builds the node for the prefix `tau` from
-    the node of `tau` minus its last example (None at the root);
-    `answer(node, ctx)` gives the hypothesis for the evidence that ends
-    there. Each call walks the evidence from the root and grows only the
-    missing nodes.
+    `grow(parent, tau, new, ctx)` builds the node for the prefix `tau`
+    from the node of `tau` minus its last example (None at the root);
+    `new` says whether that example appears in `tau` first. `answer(node,
+    ctx)` gives the hypothesis for the evidence that ends there. A call
+    on a later prefix of the run the last call read (see
+    `evidence.prefixes`) goes on from the last call's node, so a run
+    takes one step per prefix; any other call walks its evidence from the
+    root. Either way it grows only the missing nodes.
     """
     tag = object()
 
     def fn(d: DataSequence, ctx):
-        node = ctx.memo.get(tag)
-        if node is None:
-            node = ctx.memo[tag] = grow(None, _trusted(DataSequence, ()), ctx)
-        items = d.items
-        for k, ex in enumerate(items, 1):
+        root = ctx.memo.get(tag)
+        if root is None:
+            root = ctx.memo[tag] = grow(
+                None, _view(DataSequence, (), 0, (0, 0)), False, ctx)
+        run, n, last = d._run, len(d), root.last
+        if run is not None and last is not None and last[0] is run \
+                and last[1] <= n:
+            _, k, node, masks = last
+        else:
+            k, node, masks = 0, root, (0, 0)
+        while k < n:
+            ex = d[k]
+            k += 1
+            before, masks = masks, _shown(masks, ex)
             child = node.children.get(ex)
             if child is None:
-                # the whole evidence is d itself, whose masks may be known
-                tau = (d if k == len(items)
-                       else _trusted(DataSequence, items[:k]))
-                child = grow(node, tau, ctx)
+                # the whole evidence is d itself, whose items may be unread
+                tau = d if k == n else _view(DataSequence, d, k, masks)
+                child = grow(node, tau, masks != before, ctx)
                 node.children[ex] = child
             node = child
+        if run is not None:
+            root.last = (run, n, node, masks)
         return answer(node, ctx)
 
     return Learner(name, "G", fn)
@@ -205,13 +256,13 @@ def cons_wmon_wrapper(learner: Learner) -> Learner:
     """
     h = as_full_information(learner)
 
-    def grow(parent, tau, ctx):
+    def grow(parent, tau, new, ctx):
         # carry: the windows of earlier answers, see _narrow
         ps, live = tau.masks[0], {}
         if parent is not None:
             ext = parent.hyp.extension
             live = {**parent.carry, ext: parent.carry.get(ext, (None, ext))}
-            live = _narrow(live, tau.items[-1], max(ps.bit_length() - 1, 0))
+            live = _narrow(live, tau[-1], max(ps.bit_length() - 1, 0))
         ext = union(from_mask(ps), _stage_union(h.fn(tau, ctx), tau))
         for _, window in live.values():
             ext = union(ext, window)
@@ -232,7 +283,7 @@ def dual_wmon_poison(learner: Learner) -> Learner:
     if learner.kind != "Sd":
         raise ValueError("poisoning is defined for set-driven learners")
 
-    def grow(parent, tau, ctx):
+    def grow(parent, tau, new, ctx):
         # carry: whether some base answer since the last new positive
         # missed a shown positive, and the answer's extension
         guess = learner.fn(content(tau), ctx).extension
@@ -240,7 +291,7 @@ def dual_wmon_poison(learner: Learner) -> Learner:
         wrong = conflicts(tau.masks, guess)
         poisoned = bool(wrong & ps) or (
             parent is not None and parent.carry[0]
-            and not (tau.items[-1].label and _last_is_new(tau))
+            and not (tau[-1].label and new)
         )
         if poisoned:
             ext = from_mask(ps)
@@ -270,15 +321,15 @@ def cons_wmon_fourcase(learner: Learner) -> Learner:
     """
     h = as_full_information(learner)
 
-    def grow(parent, tau, ctx):
+    def grow(parent, tau, new, ctx):
         # carry: whether the blow-up was conjectured since the last new
         # negative
         if parent is None:
             fired = False
-        elif not _last_is_new(tau):
+        elif not new:
             return _Node(parent.hyp, parent.carry)
         else:
-            fired = parent.carry and tau.items[-1].label == 1
+            fired = parent.carry and tau[-1].label == 1
         ps, ns = tau.masks
         blow = complement(from_mask(ns))
         base = h.fn(tau, ctx).extension

@@ -8,8 +8,10 @@ evidence a learner ever sees.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .upset import NATURALS, UPSet, mask_elements, to_mask
@@ -40,14 +42,20 @@ def _as_examples(items) -> tuple[Example, ...]:
 
 def _shown(masks: tuple[int, int], ex: Example) -> tuple[int, int]:
     """The masks once `ex` is shown too: the very same pair if it was shown
-    before. A value already shown with the other label is refused."""
+    before. A value already shown with the other label is refused.
+
+    Each test shifts the value's bit down rather than building it, so it
+    reads only the bits above the value.
+    """
     p, n = masks
-    bit = 1 << ex.value
-    if (n if ex.label else p) & bit:
-        raise ValueError(f"contradictory labels for {ex.value}")
-    if (p if ex.label else n) & bit:
+    value, label = ex
+    same, other = (p, n) if label else (n, p)
+    if same >> value & 1:
         return masks
-    return (p | bit, n) if ex.label else (p, n | bit)
+    if other >> value & 1:
+        raise ValueError(f"contradictory labels for {value}")
+    same |= 1 << value
+    return (same, other) if label else (other, same)
 
 
 def _masks_of(items: Iterable[Example]) -> tuple[int, int]:
@@ -69,40 +77,66 @@ def conflicts(masks: tuple[int, int], u: UPSet) -> int:
     return (p & ~e) | (n & e)
 
 
+class _Items:
+    """The `items` field of evidence, read lazily for a view of a run.
+
+    Evidence built from its items keeps them in its instance dict, which
+    hides this descriptor. A view (see `_view`) holds only its run and its
+    length `_n`; it builds its items from the run's first `_n` examples on
+    first read and then keeps them the same way. Read on the class, this is
+    the field's default, which is what the dataclass takes it for.
+    """
+
+    def __init__(self, default):
+        self.default = default
+
+    def __get__(self, d, cls=None):
+        if d is None:
+            return self.default
+        items = d._container(islice(d._run, d._n))
+        d.__dict__["items"] = items
+        return items
+
+
 class _Evidence:
     """What both kinds of evidence share: the items, validated once into
-    the container `_container`, and their masks."""
+    the container `_container`, and their masks.
+
+    `masks` is (positives, negatives) as int masks, bit v for value v. It
+    is made while the items are validated, or handed to a view. Not a
+    field, so equality and hashing see `items` alone.
+    """
+
+    _run = None  # a view's run: its items are the first `_n` examples
 
     def __post_init__(self):
         items = self._container(_as_examples(self.items))
         object.__setattr__(self, "masks", _masks_of(items))
         object.__setattr__(self, "items", items)
 
-    def __len__(self) -> int:
-        return len(self.items)
-
     def __iter__(self) -> Iterator[Example]:
         return iter(self.items)
-
-    @cached_property
-    def masks(self) -> tuple[int, int]:
-        """(positives, negatives) as int masks, bit v for value v.
-
-        Made while the items are validated, or, for evidence built over
-        items already validated, on first read; then kept. Not a field, so
-        equality and hashing see `items` alone.
-        """
-        return _masks_of(self.items)
 
 
 @dataclass(frozen=True)
 class DataSequence(_Evidence):
     """Finite ordered evidence; never assigns two labels to one value."""
 
-    items: tuple[Example, ...] = ()
+    items: tuple[Example, ...] = _Items(())
     _container = tuple
 
+    def __len__(self) -> int:
+        return len(self.items) if self._run is None else self._n
+
+    def __iter__(self) -> Iterator[Example]:
+        if self._run is None:
+            return iter(self.items)
+        return islice(self._run, self._n)
+
     def __getitem__(self, i):
+        if self._run is not None and type(i) is int \
+                and -self._n <= i < self._n:
+            return self._run[i % self._n]
         return self.items[i]
 
 
@@ -110,8 +144,13 @@ class DataSequence(_Evidence):
 class DataSet(_Evidence):
     """Finite unordered evidence; same consistency invariant."""
 
-    items: frozenset[Example] = frozenset()
+    items: frozenset[Example] = _Items(frozenset())
     _container = frozenset
+
+    def __len__(self) -> int:
+        """The values shown: no value carries two labels."""
+        p, n = self.masks
+        return (p | n).bit_count()
 
     def __contains__(self, ex) -> bool:
         return ex in self.items
@@ -123,17 +162,17 @@ class DataSet(_Evidence):
 Evidence = DataSequence | DataSet
 
 
-def _trusted(cls, items, masks=None):
-    """Evidence of `cls` over items the caller has already validated.
+def _view(cls, run, n: int, masks: tuple[int, int]):
+    """Evidence of `cls` whose items are the first `n` examples of `run`.
 
-    Skips `__post_init__`: the items must already be `Example`s in the
-    container type `cls` stores, with no value carrying two labels. Given
-    `masks`, they must be the items' masks.
+    O(1): the items are built on first read (see `_Items`). `run` is
+    anything that iterates and indexes examples, and its first `n` must
+    stay as they are; `masks` must be theirs. Nothing is validated: the
+    examples must be valid and no value may carry two labels. A view
+    compares and hashes as evidence built from the same items.
     """
     d = object.__new__(cls)
-    object.__setattr__(d, "items", items)
-    if masks is not None:
-        object.__setattr__(d, "masks", masks)
+    d.__dict__.update(_run=run, _n=n, masks=masks)
     return d
 
 
@@ -151,9 +190,10 @@ def outline(d: Evidence) -> frozenset[int]:
 
 
 def content(d: Evidence) -> DataSet:
+    """The evidence as a set; O(1), a view over the same examples."""
     if isinstance(d, DataSet):
         return d
-    return _trusted(DataSet, frozenset(d.items), d.masks)
+    return _view(DataSet, d, len(d), d.masks)
 
 
 def parse_sequence(text: str) -> DataSequence:
@@ -204,6 +244,10 @@ class Informant:
     head: tuple[Example, ...] = ()
     order: str = "canonical"
     seed: int = 0
+    # fresh order: the i-th head value, sorted and distinct, minus i, that
+    # is, how many values outside the head lie below it; set once, not a
+    # field, so equality and hashing do not see it
+    _gaps = ()
 
     def __post_init__(self):
         head = _as_examples(
@@ -221,6 +265,8 @@ class Informant:
         if self.order not in ORDERS:
             raise ValueError(f"unknown order {self.order!r}")
         object.__setattr__(self, "head", head)
+        object.__setattr__(self, "_gaps", tuple(
+            v - i for i, v in enumerate(sorted({ex.value for ex in head}))))
 
     def example_at(self, i: int) -> Example:
         if i < 0:
@@ -233,14 +279,9 @@ class Informant:
         elif self.order == "shuffled":
             block, offset = divmod(j, _BLOCK)
             value = _block_perm(self.seed, block)[offset]
-        else:  # fresh: canonical order over values the head did not show
-            shown = sorted({ex.value for ex in self.head})
-            value = j
-            for v in shown:
-                if v <= value:
-                    value += 1
-                else:
-                    break
+        else:  # fresh: canonical order over values the head did not show,
+            # so the j-th is j plus the head values below it
+            value = j + bisect_right(self._gaps, j)
         return Example(value, 1 if self.target.member(value) else 0)
 
 
@@ -269,26 +310,47 @@ class EvidenceIndex:
         self.positives, self.negatives = map(tuple, zip(*masks))
 
 
+def _presented(informant: Informant,
+               horizon: int) -> Iterator[tuple[Example, tuple[int, int]]]:
+    """Each of the first `horizon` examples, validated, with the masks of
+    the prefix it ends: the very same pair as before when it was shown
+    before.
+
+    A well-formed `Example` of ints, which is what an `Informant` shows,
+    is taken as it is; anything else goes through `_as_examples`, which
+    names what is wrong with it.
+    """
+    masks = (0, 0)
+    for i in range(horizon):
+        ex = informant.example_at(i)
+        if not (type(ex) is Example and type(ex[0]) is int
+                and type(ex[1]) is int and ex[0] >= 0 and 0 <= ex[1] <= 1):
+            (ex,) = _as_examples((ex,))
+        masks = _shown(masks, ex)
+        yield ex, masks
+
+
 def prefixes(
     informant: Informant, horizon: int
 ) -> Iterator[tuple[DataSequence, DataSet]]:
     """Yield `(prefix(informant, n), content(prefix(informant, n)))`, n = 0..horizon.
 
-    Each index is enumerated once and each new example is validated once,
+    Each index is enumerated once and each example is validated once,
     against the running masks, so every yielded prefix keeps the evidence
-    invariant without being checked again in full. Each prefix and its
-    content come with their `masks` set: the parent's plus one OR, and the
-    very same pair when the example was shown before. Each step copies the
-    items into a new immutable prefix, and into a new content when the
-    example is new, so a pass is quadratic in `horizon`.
+    invariant without being checked again in full. The examples go into
+    one list, and each prefix and content is an O(1) view of it (see
+    `_view`) with its masks set: the parent's plus one OR, and the very
+    same pair when the example was shown before. A content is made anew
+    only when the example is new. So a pass is linear in `horizon`, up to
+    the masks, which are as wide as the largest value shown.
     """
-    d = _trusted(DataSequence, (), (0, 0))
-    dset = _trusted(DataSet, frozenset(), d.masks)
-    yield d, dset
-    for i in range(horizon):
-        (ex,) = _as_examples((informant.example_at(i),))
-        masks = _shown(d.masks, ex)
-        if masks is not d.masks:  # a new example: the content grows
-            dset = _trusted(DataSet, dset.items | {ex}, masks)
-        d = _trusted(DataSequence, d.items + (ex,), masks)
-        yield d, dset
+    run: list[Example] = []
+    masks = (0, 0)
+    dset = _view(DataSet, run, 0, masks)
+    yield _view(DataSequence, run, 0, masks), dset
+    for ex, shown in _presented(informant, horizon):
+        run.append(ex)
+        if shown is not masks:  # a new example: the content grows
+            masks = shown
+            dset = _view(DataSet, run, len(run), masks)
+        yield _view(DataSequence, run, len(run), masks), dset

@@ -10,9 +10,10 @@ the learner gets to see at step n of an informant presentation:
 
 Iterative runs start from a designated empty-extension hypothesis, so the
 hypothesis stream is total from step 0 in every mode. Every mode reads the
-informant through `evidence.prefixes`, so every mode refuses the same bad
-informants. `_handed` alone says what a G, Psd or Sd learner is handed;
-every mode passes the context last.
+informant through `evidence._presented`, which `evidence.prefixes` reads
+too, so every mode refuses the same bad informants. `_handed` alone says
+what a G, Psd or Sd learner is handed; every mode passes the context
+last.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .evidence import EvidenceIndex, Informant, content, prefixes
+from .evidence import EvidenceIndex, Informant, _presented, content, prefixes
 from .hypothesis import Hypothesis, hypothesis_for
 from .upset import EMPTY
 
@@ -109,12 +110,14 @@ def run(
     """Evaluate the learner on prefixes 0..horizon of the informant.
 
     The informant is enumerated and validated once, one example per step.
-    Each step copies the prefix, and the content when it grows, into the
-    immutable evidence the learner is handed, so the run's own cost is
-    quadratic in `horizon`, and this cost dominates from a few thousand
-    steps on. What the learner does with each prefix comes on top of that.
-    Each prefix's masks go with the returned sequence as its evidence
-    index, so judging the run reads the informant no more.
+    A G, Psd or Sd learner is handed O(1) views of the run's one example
+    list (`evidence.prefixes`), which build their items only if the
+    learner reads them; an It learner is handed the new example itself.
+    So the run's own cost is linear in `horizon`, up to the masks, which
+    are as wide as the largest value shown; what the learner does with
+    each prefix comes on top. Each prefix's masks go with the returned
+    sequence as its evidence index, so judging the run reads the
+    informant no more.
     """
     if horizon < 0:
         raise ValueError("horizon must be a natural")
@@ -122,13 +125,16 @@ def run(
         ctx = EvalContext()
     items: list[Hypothesis] = []
     masks = []
-    for d, dset in prefixes(informant, horizon):
-        masks.append(d.masks)
-        if learner.kind != "It":
+    if learner.kind == "It":
+        items.append(INITIAL_HYPOTHESIS)
+        masks.append((0, 0))
+        for ex, shown in _presented(informant, horizon):
+            masks.append(shown)
+            items.append(learner.fn(items[-1], ex, ctx))
+    else:
+        for d, dset in prefixes(informant, horizon):
+            masks.append(d.masks)
             items.append(learner.fn(*_handed(learner.kind, d, dset), ctx))
-        else:
-            items.append(learner.fn(items[-1], d[-1], ctx) if d
-                         else INITIAL_HYPOTHESIS)
     return HypSequence(tuple(items), learner.name, informant,
                        EvidenceIndex(masks))
 

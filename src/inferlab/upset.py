@@ -112,6 +112,15 @@ class UPSet:
         return f"UPSet({str(self)!r})"
 
 
+def _canonical(prefix: str, period: str) -> UPSet:
+    """The set P|Q for bit strings already in canonical form, made without
+    normalizing them again."""
+    u = object.__new__(UPSet)
+    object.__setattr__(u, "prefix", prefix)
+    object.__setattr__(u, "period", period)
+    return u
+
+
 EMPTY = UPSet("", "0")
 NATURALS = UPSet("", "1")
 
@@ -153,10 +162,14 @@ def from_elements(xs: Iterable[int]) -> UPSet:
 
 
 def from_mask(m: int) -> UPSet:
-    """The finite set whose elements are the set bits of m (bit x for x)."""
+    """The finite set whose elements are the set bits of m (bit x for x).
+
+    Canonical as it stands: the period 0 is minimal and the prefix ends in
+    the top bit, a 1, which the period does not continue.
+    """
     if m < 0:
         raise ValueError("naturals only")
-    return UPSet(format(m, "b")[::-1], "0") if m else EMPTY
+    return _canonical(format(m, "b")[::-1], "0") if m else EMPTY
 
 
 def to_mask(u: UPSet, width: int) -> int:
@@ -234,8 +247,11 @@ def difference(a: UPSet, b: UPSet) -> UPSet:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def complement(a: UPSet) -> UPSet:
+    """Every bit flipped. Flipping keeps a period minimal and keeps the
+    last prefix bit apart from the period, so the result is canonical as
+    it stands."""
     flip = str.maketrans("01", "10")
-    return UPSet(a.prefix.translate(flip), a.period.translate(flip))
+    return _canonical(a.prefix.translate(flip), a.period.translate(flip))
 
 
 _COMBINE_OPS = {"union": union, "intersection": intersection, "difference": difference}

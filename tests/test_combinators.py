@@ -1,9 +1,12 @@
+from dataclasses import dataclass, field
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from oracles import _shortest_same_content
+from inferlab import combinators
 from inferlab.catalog import FAMILY_IDS, LEARNER_IDS, family_instances
 from inferlab.catalog import learner as catalog_learner
 from inferlab.combinators import (
@@ -17,6 +20,7 @@ from inferlab.combinators import (
     patched_learner,
     prefix_length,
     to_set_driven,
+    _delay_range,
     _stage_union,
 )
 from inferlab.evidence import (
@@ -77,6 +81,19 @@ def test_prefix_length_and_canonical_prefix():
     full = parse_sequence("2:-,0:+,1:+")
     assert prefix_length(full) == 3
     assert canonical_prefix(full) == parse_sequence("0:+,1:+,2:-")
+
+
+def test_canonical_prefix_builds_its_examples_on_read():
+    d = DataSet({(5, 1), (1, 0), (0, 1), (2, 1), (3, 0)})
+    view = canonical_prefix(d)
+    assert "items" not in vars(view)
+    assert len(view) == 4 and view[-1] == Example(3, 0)
+    assert view.masks == (0b101, 0b1010)
+    assert list(view) == list(parse_sequence("0:+,1:-,2:+,3:-"))
+    assert "items" not in vars(view)
+    want = parse_sequence("0:+,1:-,2:+,3:-")
+    assert view == want and hash(view) == hash(want)
+    assert view.items == want.items and content(view) == content(want)
 
 
 def test_to_set_driven_equals_base_on_canonical_informants():
@@ -314,6 +331,77 @@ def test_wrapper_membership_tests_grow_linearly(monkeypatch, wrap):
             canonical_informant(parse("10|1")), h)
         counts.append(calls)
     assert counts[1] <= 5 * counts[0], counts
+
+
+def _trie_steps(monkeypatch, wrap, inf, horizon) -> int:
+    """How often one wrapped run looks a child up in its trie."""
+    steps = 0
+
+    class Children(dict):
+        def get(self, key, default=None):
+            nonlocal steps
+            steps += 1
+            return super().get(key, default)
+
+    @dataclass
+    class Node(combinators._Node):
+        children: dict = field(default_factory=Children)
+
+    with monkeypatch.context() as m:
+        m.setattr(combinators, "_Node", Node)
+        run(wrap(catalog_learner("cofinite")), inf, horizon)
+    return steps
+
+
+@pytest.mark.parametrize("wrap", (cons_wmon_wrapper, cons_wmon_fourcase,
+                                  dual_wmon_poison),
+                         ids=("cons_wmon", "fourcase", "dual_wmon_poison"))
+def test_wrapper_trie_steps_grow_linearly(monkeypatch, wrap):
+    """Each prefix of a run goes on from the node of the one before, so a
+    run takes one trie step per prefix, where a walk from the root for
+    each prefix would take a quadratic number."""
+    for inf in (canonical_informant(parse("10|1")),
+                Informant(parse("110|1"), (3, 3, 0, 5, 0), "shuffled", 4)):
+        counts = [_trie_steps(monkeypatch, wrap, inf, h) for h in (100, 400)]
+        assert counts[1] <= 5 * counts[0], counts
+
+
+def test_stage_union_asks_few_delays(monkeypatch):
+    """The largest delay of the shown positives needs no walk over them:
+    a base that keeps contradicting a shown negative makes a number of
+    `DelaySchedule.of` calls linear in the horizon."""
+    calls = 0
+    of = DelaySchedule.of
+
+    def counted(delay, x):
+        nonlocal calls
+        calls += 1
+        return of(delay, x)
+
+    monkeypatch.setattr(DelaySchedule, "of", counted)
+    everything = Learner("naturals", "G",
+                         lambda d, ctx: hypothesis_for(NATURALS))
+    counts = []
+    for h in (100, 400):
+        calls = 0
+        run(cons_wmon_wrapper(everything), canonical_informant(parse("10|1")),
+            h)
+        counts.append(calls)
+    assert counts[1] <= 5 * counts[0], counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(0, 40), min_size=1),
+       st.dictionaries(st.integers(0, 40), st.integers(0, 60), max_size=6),
+       st.integers(1, 3), st.integers(0, 5))
+def test_delay_range_matches_every_delay(values, late, mult, add):
+    """The least and the largest delay of a mask's values, read off at
+    most four of them, are those of all of them."""
+    delay = DelaySchedule(tuple((x, x + k) for x, k in late.items()),
+                          mult, add)
+    delays = [delay.of(x) for x in values]
+    assert _delay_range(delay, sum(1 << x for x in values)) == (
+        min(delays), max(delays))
 
 
 @st.composite

@@ -104,6 +104,21 @@ def test_fresh_order_skips_head_values():
     assert tail == [1, 3, 4, 5, 6, 7]
 
 
+@given(st.lists(st.integers(0, 60), max_size=30), st.integers(0, 80))
+def test_fresh_order_lists_the_other_values_in_order(plan, extra):
+    """Past the head, fresh order shows the values the head did not show,
+    in increasing order; what it keeps to find them is no field."""
+    inf = Informant(NATURALS, tuple(plan), "fresh")
+    shown = set(plan)
+    want = [v for v in range(len(shown) + extra + 61) if v not in shown]
+    n = len(plan)
+    assert [inf.example_at(n + j).value for j in range(extra)] \
+        == want[:extra]
+    again = Informant(NATURALS, tuple(plan), "fresh")
+    assert inf == again and hash(inf) == hash(again)
+    assert repr(inf) == repr(again) and "_gaps" not in repr(inf)
+
+
 def test_shuffled_informant_is_complete_and_sound():
     L = parse("110|010")
     inf = Informant(L, (Example(5, 0),), "shuffled", seed=11)

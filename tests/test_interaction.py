@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from inferlab import evidence
 from inferlab.catalog import learner
 from inferlab.combinators import cons_wmon_wrapper
 from inferlab.evidence import (
+    ORDERS,
     DataSequence,
     DataSet,
     Example,
@@ -15,6 +19,7 @@ from inferlab.evidence import (
 from inferlab.hypothesis import Hypothesis, hypothesis_for
 from inferlab.interaction import (
     INITIAL_HYPOTHESIS,
+    KINDS,
     EvalContext,
     HypSequence,
     Learner,
@@ -237,3 +242,79 @@ def test_evidence_with_masks_compares_as_plain_evidence(kind):
             sum(1 << x for x in {ex.value for ex in d.items if not ex.label}))
         assert d == plain and hash(d) == hash(plain)
         assert (seq.index.positives[n], seq.index.negatives[n]) == d.masks
+
+
+_CONSTANT = {
+    "G": lambda d, ctx: INITIAL_HYPOTHESIS,
+    "Psd": lambda d, n, ctx: INITIAL_HYPOTHESIS,
+    "Sd": lambda d, ctx: INITIAL_HYPOTHESIS,
+    "It": lambda h, ex, ctx: h,
+}
+
+
+def _items_built(monkeypatch, lrn, inf, horizon) -> int:
+    """How often a run of lrn builds the items of a view."""
+    built = 0
+    get = evidence._Items.__get__
+
+    def counted(self, d, cls=None):
+        nonlocal built
+        built += d is not None  # items kept in vars(d) hide __get__
+        return get(self, d, cls)
+
+    with monkeypatch.context() as m:
+        m.setattr(evidence._Items, "__get__", counted)
+        run(lrn, inf, horizon)
+    return built
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_constant_learner_has_no_items_built(monkeypatch, kind):
+    """A run hands over views, which build their items only when read, so
+    a learner that reads nothing costs no copy of the evidence."""
+    inf = Informant(parse("10|1"), (9, 3, 3), "shuffled", 4)
+    lrn = Learner("constant", kind, _CONSTANT[kind])
+    assert _items_built(monkeypatch, lrn, inf, 200) == 0
+    if kind != "It":  # the count sees a learner that reads the items
+        reads = lambda *args: (args[0].items, INITIAL_HYPOTHESIS)[1]
+        # one content per new example, a prefix per step
+        handed = 201 if kind == "G" else 1 + len(set(prefix(inf, 200).items))
+        assert _items_built(monkeypatch, Learner("reads", kind, reads),
+                            inf, 200) == handed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("G", "Psd", "Sd")), st.sampled_from(ORDERS),
+       st.sampled_from(("|0", "|1", "10|1", "0110|10", "|100")),
+       st.integers(0, 50), st.lists(st.integers(0, 40), max_size=6),
+       st.integers(0, 40))
+def test_handed_evidence_equals_the_rebuilt_prefix(kind, order, text, seed,
+                                                   plan, horizon):
+    """What a run hands a G, Psd or Sd learner equals, and hashes as, the
+    prefix rebuilt from scratch, or its content: while the run reads it,
+    and again after the run has moved on."""
+    target = parse(text)
+    head = Informant(target, tuple(plan), "shuffled", seed).head
+    inf = Informant(target, head, order, seed)
+    handed = []
+
+    def keep(*args):
+        d, ctx = args[0], args[-1]
+        n = len(handed)
+        want = prefix(inf, n) if kind == "G" else content(prefix(inf, n))
+        if kind == "Psd":
+            assert args[1] == n
+        if n % 2:  # the others are read only once the run is over
+            assert d == want and hash(d) == hash(want)
+        handed.append(d)
+        return INITIAL_HYPOTHESIS
+
+    run(Learner("keep", kind, keep), inf, horizon)
+    assert len(handed) == horizon + 1
+    for n, d in enumerate(handed):
+        want = prefix(inf, n) if kind == "G" else content(prefix(inf, n))
+        assert type(d) is type(want) and len(d) == len(want)
+        assert d.masks == want.masks
+        assert d == want and hash(d) == hash(want)
+        assert content(d) == content(want)
+        assert hash(content(d)) == hash(content(want))

@@ -263,3 +263,15 @@ def test_from_mask_matches_from_elements(xs):
     assert raw_elements(u.prefix, u.period, 310) == xs
     with pytest.raises(ValueError):
         from_mask(-1 - sum(1 << x for x in xs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(upsets)
+def test_complement_is_canonical_as_it_stands(u):
+    """`complement` skips the normalization: flipping the bits of a
+    canonical form gives the canonical form of the complement."""
+    c = complement(u)
+    again = UPSet(c.prefix, c.period)
+    assert (again.prefix, again.period) == (c.prefix, c.period)
+    n = len(u.prefix) + len(u.period) + 2
+    assert all(c.member(x) != u.member(x) for x in range(n))

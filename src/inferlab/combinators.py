@@ -199,8 +199,7 @@ def _trie_learner(name: str, grow, answer=_stored) -> Learner:
             root = ctx.memo[tag] = grow(
                 None, _view(DataSequence, (), 0, (0, 0)), False, ctx)
         run, n, last = d._run, len(d), root.last
-        if run is not None and last is not None and last[0] is run \
-                and last[1] <= n:
+        if last is not None and last[0] is run and last[1] <= n:
             _, k, node, masks = last
         else:
             k, node, masks = 0, root, (0, 0)
@@ -215,8 +214,7 @@ def _trie_learner(name: str, grow, answer=_stored) -> Learner:
                 child = grow(node, tau, masks != before, ctx)
                 node.children[ex] = child
             node = child
-        if run is not None:
-            root.last = (run, n, node, masks)
+        root.last = (run, n, node, masks)
         return answer(node, ctx)
 
     return Learner(name, "G", fn)

@@ -27,6 +27,11 @@ def _as_examples(items) -> tuple[Example, ...]:
     label the int 0 or 1. Nothing is coerced; a bool is neither."""
     out = []
     for item in items:
+        if (type(item) is Example and type(item[0]) is int
+                and type(item[1]) is int and item[0] >= 0
+                and 0 <= item[1] <= 1):
+            out.append(item)  # the common case, taken as it is
+            continue
         try:
             value, label = item
         except (TypeError, ValueError):
@@ -80,11 +85,12 @@ def conflicts(masks: tuple[int, int], u: UPSet) -> int:
 class _Items:
     """The `items` field of evidence, read lazily for a view of a run.
 
-    Evidence built from its items keeps them in its instance dict, which
-    hides this descriptor. A view (see `_view`) holds only its run and its
-    length `_n`; it builds its items from the run's first `_n` examples on
-    first read and then keeps them the same way. Read on the class, this is
-    the field's default, which is what the dataclass takes it for.
+    All evidence is a view of a run `_run`: its items are the run's first
+    `_n` examples. Evidence built from its items is a view of them and
+    keeps them in its instance dict, which hides this descriptor. A view
+    made by `_view` builds its items on first read and then keeps them the
+    same way. Read on the class, this is the field's default, which is
+    what the dataclass takes it for.
     """
 
     def __init__(self, default):
@@ -104,18 +110,14 @@ class _Evidence:
 
     `masks` is (positives, negatives) as int masks, bit v for value v. It
     is made while the items are validated, or handed to a view. Not a
-    field, so equality and hashing see `items` alone.
+    field, so equality and hashing see `items` alone; nor are `_run` and
+    `_n`, which evidence built from its items sets to those items.
     """
-
-    _run = None  # a view's run: its items are the first `_n` examples
 
     def __post_init__(self):
         items = self._container(_as_examples(self.items))
-        object.__setattr__(self, "masks", _masks_of(items))
-        object.__setattr__(self, "items", items)
-
-    def __iter__(self) -> Iterator[Example]:
-        return iter(self.items)
+        self.__dict__.update(items=items, _run=items, _n=len(items),
+                             masks=_masks_of(items))
 
 
 @dataclass(frozen=True)
@@ -126,16 +128,13 @@ class DataSequence(_Evidence):
     _container = tuple
 
     def __len__(self) -> int:
-        return len(self.items) if self._run is None else self._n
+        return self._n
 
     def __iter__(self) -> Iterator[Example]:
-        if self._run is None:
-            return iter(self.items)
         return islice(self._run, self._n)
 
     def __getitem__(self, i):
-        if self._run is not None and type(i) is int \
-                and -self._n <= i < self._n:
+        if type(i) is int and -self._n <= i < self._n:
             return self._run[i % self._n]
         return self.items[i]
 
@@ -151,6 +150,9 @@ class DataSet(_Evidence):
         """The values shown: no value carries two labels."""
         p, n = self.masks
         return (p | n).bit_count()
+
+    def __iter__(self) -> Iterator[Example]:
+        return iter(self.items)
 
     def __contains__(self, ex) -> bool:
         return ex in self.items
@@ -314,18 +316,10 @@ def _presented(informant: Informant,
                horizon: int) -> Iterator[tuple[Example, tuple[int, int]]]:
     """Each of the first `horizon` examples, validated, with the masks of
     the prefix it ends: the very same pair as before when it was shown
-    before.
-
-    A well-formed `Example` of ints, which is what an `Informant` shows,
-    is taken as it is; anything else goes through `_as_examples`, which
-    names what is wrong with it.
-    """
+    before."""
     masks = (0, 0)
     for i in range(horizon):
-        ex = informant.example_at(i)
-        if not (type(ex) is Example and type(ex[0]) is int
-                and type(ex[1]) is int and ex[0] >= 0 and 0 <= ex[1] <= 1):
-            (ex,) = _as_examples((ex,))
+        (ex,) = _as_examples((informant.example_at(i),))
         masks = _shown(masks, ex)
         yield ex, masks
 

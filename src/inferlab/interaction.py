@@ -77,8 +77,8 @@ class HypSequence:
     def index(self) -> EvidenceIndex:
         """The evidence index: the masks of each prefix shown."""
         if self.shown is None:  # one example_at call per index
-            object.__setattr__(self, "shown", EvidenceIndex(
-                d.masks for d, _ in prefixes(self.informant, len(self) - 1)))
+            object.__setattr__(self, "shown", EvidenceIndex([(0, 0), *(
+                m for _, m in _presented(self.informant, len(self) - 1))]))
         return self.shown
 
     def __len__(self) -> int:

@@ -366,6 +366,28 @@ def test_wrapper_trie_steps_grow_linearly(monkeypatch, wrap):
         assert counts[1] <= 5 * counts[0], counts
 
 
+@pytest.mark.parametrize("wrap", (cons_wmon_wrapper, cons_wmon_fourcase,
+                                  dual_wmon_poison),
+                         ids=("cons_wmon", "fourcase", "dual_wmon_poison"))
+def test_wrapper_answers_plain_evidence_as_its_run(wrap):
+    """Evidence built from its items is a view of its own items, so a
+    wrapper goes on from its last node only for the very same items, and
+    answers plain prefixes, in order, again and backwards, as it answers
+    them along a run."""
+    inf = Informant(parse("110|1"), (3, 3, 0, 5, 0), "shuffled", 4)
+    wrapped = wrap(catalog_learner("cofinite"))
+    seq = run(wrapped, inf, 30)
+    plain = [prefix(inf, n) for n in range(31)]
+    ctx = EvalContext()
+    assert [wrapped.fn(d, ctx) for d in plain] == list(seq.items)
+    assert [wrapped.fn(d, ctx) for d in plain[::-1]] == list(seq.items[::-1])
+    for n in (7, 7, 0, 30, 30, 12):
+        assert wrapped.fn(plain[n], ctx) == seq.items[n]
+    other = prefix(canonical_informant(parse("01|0")), 20)
+    assert wrapped.fn(other, ctx).extension == \
+        wrapped.fn(other, EvalContext()).extension
+
+
 def test_stage_union_asks_few_delays(monkeypatch):
     """The largest delay of the shown positives needs no walk over them:
     a base that keeps contradicting a shown negative makes a number of

@@ -22,15 +22,15 @@ class Example(NamedTuple):
     label: int  # 1 = positive, 0 = negative
 
 
-def _as_examples(items) -> tuple[Example, ...]:
-    """The items as examples: (value, label) pairs, value a natural and
-    label the int 0 or 1. Nothing is coerced; a bool is neither."""
-    out = []
+def _as_examples(items) -> Iterator[Example]:
+    """Yield the items as examples, each checked as it is reached:
+    (value, label) pairs, value a natural and label the int 0 or 1.
+    Nothing is coerced; a bool is neither."""
     for item in items:
         if (type(item) is Example and type(item[0]) is int
                 and type(item[1]) is int and item[0] >= 0
                 and 0 <= item[1] <= 1):
-            out.append(item)  # the common case, taken as it is
+            yield item  # the common case, taken as it is
             continue
         try:
             value, label = item
@@ -41,8 +41,7 @@ def _as_examples(items) -> tuple[Example, ...]:
             raise ValueError(f"label must be 0 or 1, got {label!r}")
         if value not in NATURALS:
             raise ValueError(f"example values are naturals, got {value!r}")
-        out.append(Example(value, label))
-    return tuple(out)
+        yield Example(value, label)
 
 
 def _shown(masks: tuple[int, int], ex: Example) -> tuple[int, int]:
@@ -252,9 +251,9 @@ class Informant:
     _gaps = ()
 
     def __post_init__(self):
-        head = _as_examples(
+        head = tuple(_as_examples(
             (x, int(self.target.member(x))) if x in NATURALS else x
-            for x in self.head)
+            for x in self.head))
         # each label's values are asked apart: a value shown with both
         # labels contradicts the target under one, and that one is named
         wrong = [conflicts(_masks_of(ex for ex in head if ex.label == b),
@@ -318,8 +317,7 @@ def _presented(informant: Informant,
     the prefix it ends: the very same pair as before when it was shown
     before."""
     masks = (0, 0)
-    for i in range(horizon):
-        (ex,) = _as_examples((informant.example_at(i),))
+    for ex in _as_examples(map(informant.example_at, range(horizon))):
         masks = _shown(masks, ex)
         yield ex, masks
 

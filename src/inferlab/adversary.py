@@ -22,8 +22,8 @@ import threading
 from dataclasses import dataclass, field, fields
 
 from .catalog import language
-from .evidence import (DataSet, Informant, canonical_informant, content,
-                       format_sequence, outline, prefix)
+from .evidence import (DataSet, Informant, canonical, canonical_informant,
+                       content, format_sequence)
 from .hypothesis import Hypothesis
 from .interaction import EvalContext, HypSequence, Learner, run
 from .restrictions import Verdict, check, revalidate, violation
@@ -146,6 +146,11 @@ class _Game:
             raise _Stop(self._witness("exhausted", "stage replay diverged"
                                       f" {at} index {self.commitments[-1][0]}"))
 
+    def outline(self, n: int) -> int:
+        """The mask of the values in the last play's first n examples."""
+        index = self.seq.index
+        return index.positives[n] | index.negatives[n]
+
     def _index(self, pred, start: int) -> int | None:
         return next((i for i in range(start, len(self.seq))
                      if pred(self.seq[i].extension)), None)
@@ -216,7 +221,7 @@ def _smon_vs_dual(g: _Game) -> Witness:
     n0 = g.commit("n0", base, f"opponent never conjectured {base} within"
                               f" {g.bounds.n_search} steps; no commitment"
                               " to grow past")
-    x = g.param("x", max(outline(prefix(g.informant, n0)) | {0}) + 1)
+    x = g.param("x", max(g.outline(n0).bit_length(), 1))
     g.play(union(base, from_elements({x})), x + 1 + g.bounds.t_bound)
     t = g.first(lambda ext: ext.member(x), "opponent never admitted the fresh"
                 f" element {x}; bc on the grown target", n0 + 1)
@@ -248,8 +253,7 @@ def _three_stage(g: _Game) -> Witness:
     xid, yid, zid, row, rid = _THREE_STAGE[g.adversary]
 
     def rows_shown(n: int) -> int:
-        return max((v // row for v in outline(prefix(g.informant, n))),
-                   default=-1) + 1
+        return (g.outline(n).bit_length() - 1) // row + 1
 
     base = language(xid)
     g.play(base, g.bounds.n_search)
@@ -279,8 +283,7 @@ def _three_stage(g: _Game) -> Witness:
 
 def _succ(d: DataSet, p: int, t: int) -> DataSet:
     """Content of the canonical informant for pos(d) + {p}, length p + t."""
-    target = from_mask(d.masks[0] | 1 << p)
-    return content(prefix(canonical_informant(target), p + t))
+    return content(canonical(d.masks[0] | 1 << p, p + t))
 
 
 def _fresh(d: DataSet) -> int:

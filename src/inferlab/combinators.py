@@ -13,8 +13,8 @@ The three memoizing wrappers (`cons_wmon_wrapper`, `cons_wmon_fourcase`,
 key of their own, so a run sees a stable hypothesis per evidence state.
 A node stands for one evidence state and its children are keyed by the
 next example. The root remembers the node of the last call's evidence
-and where that evidence ended in its run, so the next prefix of the same
-run takes one child step. Any other evidence is walked from the root.
+and where it ended in its informant's buffer, so the next prefix of the
+same run takes one child step. Any other evidence is walked from the root.
 Either way only the missing nodes are built, each from its parent plus
 one example, so a run takes one trie step and asks the base learner
 about once per prefix. A node keeps no copy of its evidence, whose
@@ -38,10 +38,9 @@ its wrapper needs next:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 
-from .evidence import (DataSequence, Example, _shown, _view, conflicts,
-                       content)
+from .evidence import (DataSequence, Example, _shown, _view, canonical,
+                       conflicts, content)
 from .hypothesis import Hypothesis, stage_enumerate
 from .interaction import Learner, as_full_information
 from .upset import (
@@ -64,32 +63,10 @@ def prefix_length(d) -> int:
     return (~shown & (shown + 1)).bit_length() - 1
 
 
-class _Canonical:
-    """The canonical presentation of the set whose members are the bits of
-    `positives`: example i is (i, bit i). Endless; a view reads its first
-    examples."""
-
-    __slots__ = ("positives",)
-
-    def __init__(self, positives: int):
-        self.positives = positives
-
-    def __getitem__(self, i: int) -> Example:
-        return Example(i, self.positives >> i & 1)
-
-    def __iter__(self):
-        return map(self.__getitem__, count())
-
-
 def canonical_prefix(d) -> DataSequence:
-    """The evidence rearranged as a canonical presentation, cut at a gap.
-
-    A view with the masks cut to the first k values: its k examples are
-    built only when something reads them.
-    """
-    k = prefix_length(d)
-    p, n = (m & ((1 << k) - 1) for m in d.masks)
-    return _view(DataSequence, _Canonical(p), k, (p, n))
+    """The evidence rearranged as a canonical presentation, cut at a gap:
+    an O(1) view (`evidence.canonical`)."""
+    return canonical(d.masks[0], prefix_length(d))
 
 
 def to_set_driven(learner: Learner) -> Learner:
@@ -164,7 +141,7 @@ class _Node:
     Compared field by field, so two tries grown by the same calls are
     equal. `hyp` is the wrapper's answer once made and `carry` whatever
     the wrapper hands on to the next state. `last` is set at the root
-    only: the run, length, node and masks of the last call's evidence.
+    only: the examples viewed, length, node and masks of the last call.
     It is not compared, so what a trie holds does not depend on whether
     its calls came along one run.
     """
@@ -186,7 +163,7 @@ def _trie_learner(name: str, grow, answer=_stored) -> Learner:
     from the node of `tau` minus its last example (None at the root);
     `new` says whether that example appears in `tau` first. `answer(node,
     ctx)` gives the hypothesis for the evidence that ends there. A call
-    on a later prefix of the run the last call read (see
+    on a later prefix of the buffer the last call read (see
     `evidence.prefixes`) goes on from the last call's node, so a run
     takes one step per prefix; any other call walks its evidence from the
     root. Either way it grows only the missing nodes.

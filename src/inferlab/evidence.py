@@ -22,26 +22,23 @@ class Example(NamedTuple):
     label: int  # 1 = positive, 0 = negative
 
 
-def _as_examples(items) -> Iterator[Example]:
-    """Yield the items as examples, each checked as it is reached:
-    (value, label) pairs, value a natural and label the int 0 or 1.
-    Nothing is coerced; a bool is neither."""
-    for item in items:
-        if (type(item) is Example and type(item[0]) is int
-                and type(item[1]) is int and item[0] >= 0
-                and 0 <= item[1] <= 1):
-            yield item  # the common case, taken as it is
-            continue
-        try:
-            value, label = item
-        except (TypeError, ValueError):
-            raise ValueError(f"an example is a (value, label) pair,"
-                             f" got {item!r}") from None
-        if label not in NATURALS or label > 1:
-            raise ValueError(f"label must be 0 or 1, got {label!r}")
-        if value not in NATURALS:
-            raise ValueError(f"example values are naturals, got {value!r}")
-        yield Example(value, label)
+def _as_example(item) -> Example:
+    """The item as an example, checked: a (value, label) pair, value a
+    natural and label the int 0 or 1. Nothing is coerced; a bool is
+    neither."""
+    if (type(item) is Example and type(item[0]) is int
+            and type(item[1]) is int and item[0] >= 0 and 0 <= item[1] <= 1):
+        return item  # the common case, taken as it is
+    try:
+        value, label = item
+    except (TypeError, ValueError):
+        raise ValueError(f"an example is a (value, label) pair,"
+                         f" got {item!r}") from None
+    if label not in NATURALS or label > 1:
+        raise ValueError(f"label must be 0 or 1, got {label!r}")
+    if value not in NATURALS:
+        raise ValueError(f"example values are naturals, got {value!r}")
+    return Example(value, label)
 
 
 def _shown(masks: tuple[int, int], ex: Example) -> tuple[int, int]:
@@ -114,7 +111,7 @@ class _Evidence:
     """
 
     def __post_init__(self):
-        items = self._container(_as_examples(self.items))
+        items = self._container(map(_as_example, self.items))
         self.__dict__.update(items=items, _run=items, _n=len(items),
                              masks=_masks_of(items))
 
@@ -239,6 +236,8 @@ class Informant:
 
     A head entry is a bare natural, which the target labels, or a
     (value, label) pair that must agree with the target.
+    Runs, checks and games read it through its buffer (`_buffer`), so
+    each index is read once whatever reads it.
     """
 
     target: UPSet
@@ -251,9 +250,9 @@ class Informant:
     _gaps = ()
 
     def __post_init__(self):
-        head = tuple(_as_examples(
-            (x, int(self.target.member(x))) if x in NATURALS else x
-            for x in self.head))
+        head = tuple(_as_example(
+            (x, int(self.target.member(x))) if x in NATURALS else x)
+            for x in self.head)
         # each label's values are asked apart: a value shown with both
         # labels contradicts the target under one, and that one is named
         wrong = [conflicts(_masks_of(ex for ex in head if ex.label == b),
@@ -291,35 +290,55 @@ def canonical_informant(target: UPSet) -> Informant:
 
 
 def prefix(informant: Informant, n: int) -> DataSequence:
+    """The first n examples, read and validated from scratch, never through
+    the informant's buffer: the reference `prefixes` is tested against."""
     return DataSequence(tuple(informant.example_at(i) for i in range(n)))
 
 
 class EvidenceIndex:
-    """The masks of every prefix of one presentation, n = 0..horizon.
-
-    `positives[n]` and `negatives[n]` are the masks of the first n
-    examples; a prefix that repeats an example shares its parent's ints.
-    The examples themselves are not kept: an example that is new at
-    index i is the one bit that prefix i + 1 adds. Compared and hashed by
-    identity, since an index stands for the one presentation it was read
-    from.
-    """
+    """The masks of each prefix of one presentation read so far:
+    `positives[n]` and `negatives[n]` are those of the first n examples.
+    It keeps no example, so a cache keyed by it keeps only masks alive.
+    Compared and hashed by identity: it stands for one presentation."""
 
     __slots__ = ("positives", "negatives", "__weakref__")
 
-    def __init__(self, masks: Iterable[tuple[int, int]]):
-        self.positives, self.negatives = map(tuple, zip(*masks))
+    def __init__(self):
+        self.positives, self.negatives = [0], [0]
 
 
-def _presented(informant: Informant,
-               horizon: int) -> Iterator[tuple[Example, tuple[int, int]]]:
-    """Each of the first `horizon` examples, validated, with the masks of
-    the prefix it ends: the very same pair as before when it was shown
-    before."""
-    masks = (0, 0)
-    for ex in _as_examples(map(informant.example_at, range(horizon))):
-        masks = _shown(masks, ex)
-        yield ex, masks
+def _buffer(informant) -> tuple[list[Example], EvidenceIndex]:
+    """The informant's buffer: the examples it has shown so far, each
+    validated once, and their evidence index. Kept in the instance dict,
+    as no field, so equality, hashing and repr do not see it; grown only
+    by `prefixes`, so a view of it stays valid; holding no reference
+    back, so a dropped informant frees it."""
+    buf = vars(informant).get("_buffer")
+    if buf is None:
+        buf = ([], EvidenceIndex())
+        object.__setattr__(informant, "_buffer", buf)
+    return buf
+
+
+class _Canonical:
+    """The canonical presentation of the finite set whose members are the
+    bits of `positives`: example i is (i, bit i). Endless; read by index."""
+
+    __slots__ = ("positives",)
+
+    def __init__(self, positives: int):
+        self.positives = positives
+
+    def __getitem__(self, i: int) -> Example:
+        return Example(i, self.positives >> i & 1)
+
+
+def canonical(positives: int, n: int) -> DataSequence:
+    """The first n examples of the canonical informant of the finite set
+    whose members are the bits of `positives`, as an O(1) view."""
+    cut = (1 << n) - 1
+    p = positives & cut
+    return _view(DataSequence, _Canonical(p), n, (p, cut & ~p))
 
 
 def prefixes(
@@ -327,22 +346,27 @@ def prefixes(
 ) -> Iterator[tuple[DataSequence, DataSet]]:
     """Yield `(prefix(informant, n), content(prefix(informant, n)))`, n = 0..horizon.
 
-    Each index is enumerated once and each example is validated once,
-    against the running masks, so every yielded prefix keeps the evidence
-    invariant without being checked again in full. The examples go into
-    one list, and each prefix and content is an O(1) view of it (see
-    `_view`) with its masks set: the parent's plus one OR, and the very
-    same pair when the example was shown before. A content is made anew
-    only when the example is new. So a pass is linear in `horizon`, up to
-    the masks, which are as wide as the largest value shown.
+    Each is an O(1) view (see `_view`) of the informant's buffer, with the
+    masks of its index. An example no reader has reached is read, checked
+    against the masks and only then kept, so a refused one never is; a
+    reader may read further meanwhile. A content is made anew only when
+    the example is new. So a pass is linear in `horizon`, up to the masks.
     """
-    run: list[Example] = []
+    examples, index = _buffer(informant)
+    ps, ns = index.positives, index.negatives
     masks = (0, 0)
-    dset = _view(DataSet, run, 0, masks)
-    yield _view(DataSequence, run, 0, masks), dset
-    for ex, shown in _presented(informant, horizon):
-        run.append(ex)
-        if shown is not masks:  # a new example: the content grows
+    dset = _view(DataSet, examples, 0, masks)
+    yield _view(DataSequence, examples, 0, masks), dset
+    for n in range(1, horizon + 1):
+        if n > len(examples):
+            ex = _as_example(informant.example_at(n - 1))
+            shown = _shown(masks, ex)
+            examples.append(ex)
+            ps.append(shown[0])
+            ns.append(shown[1])
+        else:
+            shown = (ps[n], ns[n])
+        if shown != masks:  # a new example: the content grows
             masks = shown
-            dset = _view(DataSet, run, len(run), masks)
-        yield _view(DataSequence, run, len(run), masks), dset
+            dset = _view(DataSet, examples, n, masks)
+        yield _view(DataSequence, examples, n, masks), dset

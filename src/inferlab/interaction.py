@@ -10,18 +10,20 @@ the learner gets to see at step n of an informant presentation:
 
 Iterative runs start from a designated empty-extension hypothesis, so the
 hypothesis stream is total from step 0 in every mode. Every mode reads the
-informant through `evidence._presented`, which `evidence.prefixes` reads
-too, so every mode refuses the same bad informants. `_handed` alone says
-what a G, Psd or Sd learner is handed; every mode passes the context
-last.
+informant through `evidence.prefixes`, so every mode refuses the same bad
+informants. `_handed` alone says what a G, Psd or Sd learner is handed;
+every mode passes the context last.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 from typing import Callable
 
-from .evidence import EvidenceIndex, Informant, _presented, content, prefixes
+from .evidence import EvidenceIndex, Informant, _buffer, content, prefixes
 from .hypothesis import Hypothesis, hypothesis_for
 from .upset import EMPTY
 
@@ -59,27 +61,19 @@ class Learner:
 
 @dataclass(frozen=True)
 class HypSequence:
-    """Hypotheses emitted along a presentation; items[n] answers prefix n.
-
-    `shown` is the evidence index of the presentation's first
-    `len(items) - 1` examples. `run` hands over the one it built while
-    enumerating; a sequence built without one reads it off the informant
-    on first use of `index`. It takes no part in equality or hashing.
-    """
+    """Hypotheses emitted along a presentation; items[n] answers prefix n."""
 
     items: tuple[Hypothesis, ...]
     learner_name: str
     informant: Informant
-    shown: EvidenceIndex | None = field(default=None, compare=False,
-                                        repr=False)
 
-    @property
+    @cached_property
     def index(self) -> EvidenceIndex:
-        """The evidence index: the masks of each prefix shown."""
-        if self.shown is None:  # one example_at call per index
-            object.__setattr__(self, "shown", EvidenceIndex([(0, 0), *(
-                m for _, m in _presented(self.informant, len(self) - 1))]))
-        return self.shown
+        """The informant's evidence index, read to this sequence's length."""
+        examples, index = _buffer(self.informant)
+        if len(examples) < len(self) - 1:  # read on through the buffer
+            deque(prefixes(self.informant, len(self) - 1), 0)
+        return index
 
     def __len__(self) -> int:
         return len(self.items)
@@ -109,34 +103,29 @@ def run(
 ) -> HypSequence:
     """Evaluate the learner on prefixes 0..horizon of the informant.
 
-    The informant is enumerated and validated once, one example per step.
-    A G, Psd or Sd learner is handed O(1) views of the run's one example
-    list (`evidence.prefixes`), which build their items only if the
-    learner reads them; an It learner is handed the new example itself.
-    So the run's own cost is linear in `horizon`, up to the masks, which
-    are as wide as the largest value shown; what the learner does with
-    each prefix comes on top. Each prefix's masks go with the returned
-    sequence as its evidence index, so judging the run reads the
-    informant no more.
+    A learner is handed O(1) views of the informant's buffer
+    (`evidence.prefixes`), which reads each example once, whatever reads
+    the informant, and builds a view's items only if the learner reads
+    them; an It learner is handed the new example itself. So the run's own
+    cost is linear in `horizon`, up to the masks, which are as wide as the
+    largest value shown; what the learner does comes on top. The buffer
+    keeps each prefix's masks, so judging the run reads the informant no
+    more.
     """
     if horizon < 0:
         raise ValueError("horizon must be a natural")
     if ctx is None:
         ctx = EvalContext()
-    items: list[Hypothesis] = []
-    masks = []
-    if learner.kind == "It":
-        items.append(INITIAL_HYPOTHESIS)
-        masks.append((0, 0))
-        for ex, shown in _presented(informant, horizon):
-            masks.append(shown)
-            items.append(learner.fn(items[-1], ex, ctx))
+    kind, fn = learner.kind, learner.fn
+    if kind == "It":
+        examples, items = _buffer(informant)[0], [INITIAL_HYPOTHESIS]
+        # prefix i + 1 is the one that shows examples[i]
+        for i, _ in enumerate(islice(prefixes(informant, horizon), 1, None)):
+            items.append(fn(items[-1], examples[i], ctx))
     else:
-        for d, dset in prefixes(informant, horizon):
-            masks.append(d.masks)
-            items.append(learner.fn(*_handed(learner.kind, d, dset), ctx))
-    return HypSequence(tuple(items), learner.name, informant,
-                       EvidenceIndex(masks))
+        items = [fn(*_handed(kind, d, dset), ctx)
+                 for d, dset in prefixes(informant, horizon)]
+    return HypSequence(tuple(items), learner.name, informant)
 
 
 def as_full_information(learner: Learner) -> Learner:

@@ -39,15 +39,16 @@ fewer pairs:
   grows without bound.)
 
 Whether an extension agrees with the data shown before t (cons, and the
-weakly monotone gate) is answered from the run's evidence index
-(`HypSequence.index`), the positive and the negative values of every
-prefix as int masks, never by reading the informant again. The values an
-extension contradicts among the first t examples are
-`evidence.conflicts` of the masks P_t and N_t, (P_t & ~e) | (N_t & e) for
-e the extension's mask. A value keeps its label throughout a run, so the
-first t examples conflict iff they show one of the values the whole run
-contradicts. That only grows with t, so the first conflict is a binary
-search over the prefixes, O(log horizon) mask tests.
+weakly monotone gate) is answered from the evidence index that the
+informant's buffer keeps (`HypSequence.index`), the positive and the
+negative values of every prefix as int masks, so a check reads no
+example a run has read. The values an extension contradicts among the
+first t examples are `evidence.conflicts` of the masks P_t and N_t,
+(P_t & ~e) | (N_t & e) for e the extension's mask. A value keeps its
+label throughout a run, so the first t examples conflict iff they show
+one of the values the whole run contradicts. That only grows with t, so
+the first conflict is a binary search over the prefixes, O(log horizon)
+mask tests, cached by the index and the run's length.
 
 Every restriction is declared once, in `_DETAIL`, which maps its id, in
 report order, to the wording of its violation; `RESTRICTION_IDS` and the
@@ -117,26 +118,25 @@ class Verdict:
 
 
 @lru_cache(maxsize=1024)
-def _first_conflict(ext: UPSet, index: EvidenceIndex) -> int | None:
-    """Least index of the examples shown whose datum contradicts `ext`.
+def _first_conflict(ext: UPSet, index: EvidenceIndex, h: int) -> int | None:
+    """Least index of the first h examples whose datum contradicts `ext`.
 
     A prefix that conflicts with the extension stays in conflict as it
     grows, so a binary search over the prefixes' masks finds the first
     one that shows a contradicted value; its last example is the first
-    conflict. Bounded, so a long sweep keeps only the indices of its
-    latest runs alive.
+    conflict. Bounded: a long sweep keeps its latest indices alive.
     """
     ps, ns = index.positives, index.negatives
-    wrong = conflicts((ps[-1], ns[-1]), ext)
+    wrong = conflicts((ps[h], ns[h]), ext)
     if not wrong:
         return None
-    return bisect_left(range(len(ps)), True,
+    return bisect_left(range(h + 1), True,
                        key=lambda n: bool((ps[n] | ns[n]) & wrong)) - 1
 
 
-def _consistent_at(ext: UPSet, index: EvidenceIndex, t: int) -> bool:
-    """Does `ext` agree with the first t examples shown?"""
-    fc = _first_conflict(ext, index)
+def _consistent_at(ext: UPSet, index: EvidenceIndex, h: int, t: int) -> bool:
+    """Does `ext` agree with the first t examples of a run of length h?"""
+    fc = _first_conflict(ext, index, h)
     return fc is None or fc >= t
 
 
@@ -207,7 +207,7 @@ def _cons_bad(seq: HypSequence, indices):
         return
     (n,) = indices
     w, index = seq[n].extension, seq.index
-    fc = _first_conflict(w, index)
+    fc = _first_conflict(w, index, len(seq) - 1)
     if fc is None or fc >= n:
         return
     ps, ns = index.positives, index.negatives
@@ -271,7 +271,8 @@ def _pair_site(variant: str, seq: HypSequence, indices) -> UPSet:
     wa, wb = seq[s].extension, seq[t].extension
     if variant in _CAUTIOUS:
         return _caut_bad(variant, wa, wb)
-    if variant.startswith("wmon") and not _consistent_at(wa, seq.index, t):
+    if variant.startswith("wmon") and not _consistent_at(
+            wa, seq.index, len(seq) - 1, t):
         return EMPTY
     return _pair_bad(variant, wa, wb, seq.informant.target)
 
@@ -359,14 +360,14 @@ def _gated_site(variant: str, seq: HypSequence):
         if t and wb == exts[t - 1]:
             continue
         for wa, s in list(live.items()):
-            if not _consistent_at(wa, index, t):
+            if not _consistent_at(wa, index, horizon, t):
                 del live[wa]
             elif wa != wb:
                 bad = _pair_bad(variant, wa, wb, target)
                 if bad != EMPTY:
                     return (s, t), min_element(bad)
         if (t < horizon and wb not in live
-                and _consistent_at(wb, index, t + 1)):
+                and _consistent_at(wb, index, horizon, t + 1)):
             live[wb] = t
     return None
 

@@ -1,6 +1,7 @@
-"""Print wall times of long runs, where a per-step cost that grows shows.
+"""Print wall times of long runs, where a per-step cost that grows shows,
+and the memory of two long sweeps.
 
-Three groups, each the best of three runs in this process:
+Three groups of times, each the best of three runs in this process:
 
 - a learner that answers a constant, in G, Psd, Sd and It, on the
   canonical informant of the evens at H = 4000 and 16000, with the factor
@@ -9,6 +10,15 @@ Three groups, each the best of three runs in this process:
   and 4000, on the canonical informant of its base's target below;
 - `fin_pos` on `0|1` at H = 1000, `run` and then `check_all`, in
   canonical order and shuffled with seed 5.
+
+Each timed call gets an informant of its own: an informant keeps the
+examples it has shown, so a second run on the same one would not read
+them again, and the repeats would time a warm buffer.
+
+Then the max RSS of two sweeps of 4000 cells, `run` plus `check_all`,
+each on its own shuffled informant of the evens (seeds 1 to 4000) at
+H = 80: one with `fin_pos`, one with `constant_empty`. Each sweep runs in
+a child interpreter of its own, so neither sees the other's memory.
 
 Run it from any directory:
 
@@ -20,6 +30,8 @@ imports. pytest does not collect this file.
 
 from __future__ import annotations
 
+import resource
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -48,6 +60,10 @@ CONSTANT = {
 # the canonical target each pipeline's base learner is run on
 BASE_TARGETS = {"cofinite": "10|1", "segment": "1111|0", "fin_pos": "|10"}
 
+SWEEP_LEARNERS = ("fin_pos", "constant_empty")
+SWEEP_CELLS = 4000
+SWEEP_HORIZON = 80
+
 
 def best(fn, make=lambda: None) -> float:
     """The least wall time of `REPEATS` calls of fn, in seconds; each call
@@ -61,11 +77,39 @@ def best(fn, make=lambda: None) -> float:
     return min(times)
 
 
+def max_rss_mb() -> float:
+    """This process's max RSS in MB. Linux keeps `ru_maxrss` across exec,
+    so a child would report its parent's peak if that is larger; the
+    VmHWM of /proc/self/status starts anew, and is read where it exists."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def sweep(lid: str) -> float:
+    """Run and judge the sweep's cells of one learner in this process; its
+    max RSS in MB."""
+    lrn, evens = learner(lid), parse("|10")
+    for seed in range(1, SWEEP_CELLS + 1):
+        check_all(run(lrn, Informant(evens, (), "shuffled", seed),
+                      SWEEP_HORIZON))
+    return max_rss_mb()
+
+
 def main() -> int:
-    evens = canonical_informant(parse("|10"))
+    if sys.argv[1:2] == ["--sweep"]:  # the child of one sweep
+        print(sweep(sys.argv[2]))
+        return 0
+    evens = parse("|10")
     for kind, fn in CONSTANT.items():
         lrn = Learner("constant", kind, fn)
-        short, long = (best(lambda _: run(lrn, evens, h))
+        short, long = (best(lambda inf: run(lrn, inf, h),
+                            lambda: canonical_informant(evens))
                        for h in (4000, 16000))
         print(f"constant {kind:<3}  H=4000 {short:7.3f} s  H=16000 "
               f"{long:7.3f} s  x{long / short:.1f}")
@@ -73,18 +117,26 @@ def main() -> int:
         lrn = learner(base)
         for step in steps:
             lrn = combinator(step)(lrn)
-        inf = canonical_informant(parse(BASE_TARGETS[base]))
+        target = parse(BASE_TARGETS[base])
         name = "+".join((base, *steps))
-        times = [best(lambda _: run(lrn, inf, h)) for h in (1000, 4000)]
+        times = [best(lambda inf: run(lrn, inf, h),
+                      lambda: canonical_informant(target))
+                 for h in (1000, 4000)]
         print(f"{name:<31} on {BASE_TARGETS[base]:<6}  H=1000 "
               f"{times[0]:7.3f} s  H=4000 {times[1]:7.3f} s")
-    target = parse("0|1")
-    for label, inf in (("canonical", canonical_informant(target)),
-                       ("shuffled 5", Informant(target, (), "shuffled", 5))):
-        # a new run for each check_all, whose caches are keyed by the run
-        fin_pos = lambda _: run(learner("fin_pos"), inf, 1000)
-        print(f"fin_pos on 0|1 {label:<10}  H=1000 run {best(fin_pos):7.3f} s"
-              f"  check_all {best(check_all, lambda: fin_pos(None)):7.3f} s")
+    target, fin_pos = parse("0|1"), learner("fin_pos")
+    for label, make in (("canonical", lambda: canonical_informant(target)),
+                        ("shuffled 5",
+                         lambda: Informant(target, (), "shuffled", 5))):
+        runs = best(lambda inf: run(fin_pos, inf, 1000), make)
+        checks = best(check_all, lambda: run(fin_pos, make(), 1000))
+        print(f"fin_pos on 0|1 {label:<10}  H=1000 run {runs:7.3f} s"
+              f"  check_all {checks:7.3f} s")
+    for lid in SWEEP_LEARNERS:
+        child = subprocess.run([sys.executable, __file__, "--sweep", lid],
+                               capture_output=True, text=True, check=True)
+        print(f"{lid:<14} sweep of {SWEEP_CELLS} cells at H={SWEEP_HORIZON}"
+              f"  max RSS {float(child.stdout):6.1f} MB")
     return 0
 
 

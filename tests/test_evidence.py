@@ -20,6 +20,7 @@ from inferlab.evidence import (
     prefixes,
 )
 from inferlab.hypothesis import DelaySchedule, Hypothesis
+from inferlab.interaction import INITIAL_HYPOTHESIS, Learner, run
 from inferlab.upset import EMPTY, NATURALS, UPSet, parse
 
 
@@ -117,6 +118,12 @@ def test_fresh_order_lists_the_other_values_in_order(plan, extra):
     again = Informant(NATURALS, tuple(plan), "fresh")
     assert inf == again and hash(inf) == hash(again)
     assert repr(inf) == repr(again) and "_gaps" not in repr(inf)
+    # nor does the buffer a run fills
+    run(Learner("none", "G", lambda d, ctx: INITIAL_HYPOTHESIS), inf, 20)
+    assert len(vars(inf)["_buffer"][0]) == 20  # (examples, index)
+    again = Informant(NATURALS, tuple(plan), "fresh")
+    assert inf == again and hash(inf) == hash(again)
+    assert repr(inf) == repr(again) and "_buffer" not in repr(inf)
 
 
 def test_shuffled_informant_is_complete_and_sound():

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inferlab import evidence
+from inferlab.adversary import run_adversary, verify_witness
 from inferlab.catalog import learner
 from inferlab.combinators import cons_wmon_wrapper
 from inferlab.evidence import (
@@ -27,6 +30,7 @@ from inferlab.interaction import (
     run,
     with_fresh_labels,
 )
+from inferlab.restrictions import check_all
 from inferlab.upset import EMPTY, from_elements, parse, union
 
 
@@ -174,21 +178,39 @@ def test_run_matches_rebuilding_oracle(lrn):
     Learner("first", "G", lambda d, ctx: INITIAL_HYPOTHESIS),
     LENGTH_AWARE,
     FIN_POS,
+    IT_COLLECT,
 ), ids=lambda lrn: lrn.kind)
 def test_run_enumerates_the_informant_once(lrn, monkeypatch):
+    """Whatever reads an informant reads it through its one buffer, so
+    over runs of any length, a check of a sequence built by hand and a
+    game with the replay of its witness, each index of each informant is
+    read exactly once in total."""
     calls = []
     example_at = Informant.example_at
 
     def counted(self, i):
-        calls.append(i)
+        calls.append((self, i))  # keeps the informant alive: ids stay apart
         return example_at(self, i)
 
     monkeypatch.setattr(Informant, "example_at", counted)
     inf = Informant(parse("10|1"), (3, 3), "shuffled", 2)
-    for horizon in (0, 1, 40):
-        calls.clear()
+    for horizon in (0, 40, 1, 60):
         run(lrn, inf, horizon)
-        assert calls == list(range(horizon))
+    assert [i for _, i in calls] == list(range(60))
+    by_hand = HypSequence(tuple(
+        hypothesis_for(parse("10|1")) if n % 3 else INITIAL_HYPOTHESIS
+        for n in range(71)), "handmade", inf)
+    check_all(by_hand)
+    assert all(s is inf for s, _ in calls)
+    assert [i for _, i in calls] == list(range(70))
+    calls.clear()
+    w = run_adversary("caut_tar", learner("cofinite"))
+    assert w.kind == "restriction-violation"
+    played = len(calls)
+    assert verify_witness(w)
+    assert len(calls) == played
+    assert any(s is w.informant for s, _ in calls)
+    assert set(Counter((id(s), i) for s, i in calls).values()) == {1}
 
 
 class _ListedInformant:
@@ -201,9 +223,11 @@ class _ListedInformant:
         return self.examples[i]
 
 
+# the items of each bad informant, and the error every mode raises
 _BAD_INFORMANTS = {
-    "two labels for one value": (Example(4, 1), Example(4, 0)),
-    "label two": ((3, 2),),
+    "two labels for one value": ((Example(4, 1), Example(4, 0)),
+                                 "contradictory labels for 4"),
+    "label two": (((3, 2),), "label must be 0 or 1, got 2"),
 }
 
 
@@ -215,9 +239,58 @@ _BAD_INFORMANTS = {
     IT_COLLECT,
 ), ids=lambda lrn: lrn.kind)
 def test_every_mode_refuses_a_bad_informant(lrn, bad):
-    items = _BAD_INFORMANTS[bad]
+    items, message = _BAD_INFORMANTS[bad]
     with pytest.raises(ValueError):
         run(lrn, _ListedInformant(*items), len(items))
+    # the buffer never keeps a refused example: run twice, or again after
+    # a shorter run that stops before it, the same error comes back
+    twice, later = _ListedInformant(*items), _ListedInformant(*items)
+    run(lrn, later, len(items) - 1)
+    for inf in (twice, twice, later):
+        with pytest.raises(ValueError) as refused:
+            run(lrn, inf, len(items))
+        assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("kind", ("G", "Psd", "Sd"))
+def test_a_run_nested_in_a_step_is_handed_exact_prefixes(kind):
+    """A learner that starts a longer run of the same informant inside
+    each of its steps grows the buffer under the outer run, which is
+    still handed exactly `prefix(inf, n)`, or its content, at every n."""
+    inf = Informant(parse("10|1"), (9, 3, 3), "shuffled", 4)
+
+    def exact(d, n):
+        want = prefix(inf, n) if kind == "G" else content(prefix(inf, n))
+        assert type(d) is type(want) and d.masks == want.masks
+        assert d == want and hash(d) == hash(want)
+
+    def collecting(into):
+        def fn(*args):
+            if kind == "Psd":
+                assert args[1] == len(into)
+            into.append(args[0])
+            return INITIAL_HYPOTHESIS
+        return fn
+
+    handed = []
+    collect = collecting(handed)
+
+    def nesting(*args):
+        n, inner = len(handed), []
+        collect(*args)
+        # at every fifth step the inner run reads three examples ahead; in
+        # between the outer run reads on by itself
+        run(Learner("inner", kind, collecting(inner)), inf,
+            n + 3 if n % 5 == 0 else n)
+        for m, d in enumerate(inner):
+            exact(d, m)
+        exact(args[0], n)
+        return INITIAL_HYPOTHESIS
+
+    run(Learner("outer", kind, nesting), inf, 30)
+    assert len(handed) == 31
+    for n, d in enumerate(handed):
+        exact(d, n)
 
 
 @pytest.mark.parametrize("kind", ("G", "Sd"))

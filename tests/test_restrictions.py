@@ -533,7 +533,7 @@ def indexed_runs(draw):
     if draw(st.booleans()):
         seq = run(Learner("drawn", "G", lambda d, ctx: hyps[len(d)]), inf,
                   horizon)
-        assert seq.shown is not None
+        assert len(vars(inf)["_buffer"][0]) == horizon  # (examples, index)
     else:
         seq = HypSequence(hyps, "handmade", inf)
     return seq, pool, far
@@ -547,7 +547,7 @@ def test_first_conflicts_match_the_informant_walk(drawn):
     seq, pool, far = drawn
     inf, horizon = seq.informant, len(seq) - 1
     for u in pool:
-        assert restrictions._first_conflict(u, seq.index) == \
+        assert restrictions._first_conflict(u, seq.index, horizon) == \
             raw_first_conflict(_raw(u), inf, horizon), u
     raw = _raw_run(seq)
     v = check("cons", seq)

@@ -219,7 +219,9 @@ def _language_entry(entry) -> list[UPSet]:
     return built
 
 
-_TARGET_KINDS = ("language", "family", "upset")
+# Each kind of targets entry and the keys that only that kind takes.
+_TARGET_KINDS = {"language": ("params", "sweep"), "family": ("count",),
+                 "upset": ()}
 
 
 def _target_entry(entry) -> tuple[list[UPSet], str]:
@@ -227,6 +229,11 @@ def _target_entry(entry) -> tuple[list[UPSet], str]:
     kinds = [k for k in _TARGET_KINDS if k in entry]
     if len(kinds) != 1:
         raise ValueError("needs exactly one of language/family/upset")
+    stray = sorted(set(entry) - {kinds[0], *_TARGET_KINDS[kinds[0]]})
+    if stray:
+        owner = next(k for k in _TARGET_KINDS if stray[0] in _TARGET_KINDS[k])
+        raise ValueError(f"key {stray[0]!r} belongs to {owner} targets, "
+                         f"not {kinds[0]}")
     if kinds[0] == "upset":
         try:
             return [parse(entry["upset"])], "family"
@@ -249,9 +256,8 @@ def _target_entry(entry) -> tuple[list[UPSet], str]:
 
 def _resolve_targets(raw, cfg, errors) -> tuple[Target, ...]:
     targets = {}  # the first entry to name a set gives its scope
-    for sets, scope in _entries(raw, "targets", {*_TARGET_KINDS, "params",
-                                                 "sweep", "count"},
-                                _target_entry, errors):
+    keys = {*_TARGET_KINDS, *itertools.chain(*_TARGET_KINDS.values())}
+    for sets, scope in _entries(raw, "targets", keys, _target_entry, errors):
         for u in sets:
             targets.setdefault(u, Target(u, scope))
     return tuple(targets.values())
@@ -275,8 +281,10 @@ def _schedule_entry(entry) -> Schedule:
 
 
 def _resolve_schedules(raw, cfg, errors) -> tuple[Schedule, ...]:
-    return tuple(_entries(raw, "schedules", {"order", "seed", "plan"},
-                          _schedule_entry, errors)) or (Schedule(),)
+    # equal schedules would give equal report rows: keep the first
+    return tuple(dict.fromkeys(_entries(
+        raw, "schedules", {"order", "seed", "plan"}, _schedule_entry,
+        errors))) or (Schedule(),)
 
 
 def _resolve_adversaries(raw, cfg, errors) -> tuple[AdversaryRun, ...]:

@@ -9,34 +9,37 @@ A pair restriction is violated by a pair s < t of indices; its site is
 the first bad pair in (t, then s) order, the order a full scan with the
 later index outside would meet it. A longer run of the same learner then
 extends the scan instead of reordering it, so the site is stable under
-horizon growth. The scans below return exactly that site while testing far
-fewer pairs:
+horizon growth. The scans below only choose candidate sites, in that
+order; each candidate is tested by the restriction's site function, as
+`evaluate_site` tests a stored one. A scan passes over a pair only when
+the pair cannot be the first bad one, so the first candidate with a
+witness is the full scan's site, found after far fewer tests:
 
 - Only change points t, where the extension differs from the one at t-1,
   are visited, and at each only the earliest index of each distinct
-  earlier extension is tested. A pair of equal extensions is never bad,
+  earlier extension is offered. A pair of equal extensions is never bad,
   and a pair test depends only on the two extensions (and on t for the
   weakly monotone gate, which only tightens as t grows), so a bad pair
   (s, t) at a repeated extension makes (s, t-1) bad first, and among
   equal earlier extensions the earliest index comes first.
 - mon, mon_d, mon_b, smon, smon_d, smon_b: "the pair is fine" is
   reflexive and transitive, so while every step (t-1, t) is fine so is
-  every pair up to t. Only steps are tested until the first bad one; at
-  that t the earlier extensions are searched for the least bad s.
+  every pair up to t. Only steps are tested, with `_pair_bad`, which is
+  the whole condition of these six, until the first bad one; at that t
+  the earlier extensions are offered, and one of them is bad.
 - wmon, wmon_d, wmon_b: an earlier extension counts at t only while it is
   consistent with the data shown before t. Once it is not, it is not at
-  any later t either, so it leaves the live set for good. The tests are
-  quadratic in the number of live distinct extensions at worst.
+  any later t either, so it leaves the live set for good. The candidates
+  are quadratic in the number of live distinct extensions at worst.
 - caut, caut_fin, caut_inf: a change point is skipped outright when its
   extension fails the finiteness condition or when no earlier extension
-  strictly contains it. The latter is asked only of the maximal earlier
-  extensions (those no other earlier one strictly contains), which is one
-  test per change point while the extensions form a chain and quadratic
-  in the distinct extensions at worst. Only at the first change point
-  that passes both are the earlier extensions searched for the least bad
-  s. (The union of the earlier extensions would answer the same question
-  in one test, but its period is the lcm of all periods seen, which
-  grows without bound.)
+  strictly contains it, since then no pair ending there is bad. The
+  latter is asked only of the maximal earlier extensions (those no other
+  earlier one strictly contains), which is one test per change point
+  while the extensions form a chain and quadratic in the distinct
+  extensions at worst. (The union of the earlier extensions would answer
+  the same question in one test, but its period is the lcm of all
+  periods seen, which grows without bound.)
 
 Whether an extension agrees with the data shown before t (cons, and the
 weakly monotone gate) is answered from the evidence index that the
@@ -54,11 +57,12 @@ Every restriction is declared once, in `_DETAIL`, which maps its id, in
 report order, to the wording of its violation; `RESTRICTION_IDS` and the
 two families are read off it. Its condition is one site function in
 `_SITES`, which gives the witnesses of a violation at the given indices:
-`_pair_site` for the twelve pair restrictions (`_pair_bad` or `_caut_bad`,
-behind the weakly monotone gate), and one function each for cons,
-caut_tar, bc and ex. `check` scans for the first site in its scan order,
-`evaluate_site` calls the site function at a stored site, and `violation`
-turns a site into a violated verdict, worded from `_DETAIL`.
+`_pair_site` for the twelve pair restrictions (`_pair_bad`, behind the
+weakly monotone gate), and one function each for cons, caut_tar, bc and
+ex. `check` hands its scan's candidates to `_first_site`, which asks the
+site function of each and reports the first witness; `evaluate_site`
+calls the same function at a stored site, and `violation` turns a site
+into a violated verdict, worded from `_DETAIL`.
 """
 
 from __future__ import annotations
@@ -140,12 +144,24 @@ def _consistent_at(ext: UPSet, index: EvidenceIndex, h: int, t: int) -> bool:
     return fc is None or fc >= t
 
 
+def _lands(variant: str, wb: UPSet) -> bool:
+    """Does the later extension meet the variant's finiteness condition?"""
+    return variant == "caut" or wb.is_finite() == (variant == "caut_fin")
+
+
 def _pair_bad(variant: str, wa: UPSet, wb: UPSet, target: UPSet) -> UPSet:
     """Elements witnessing that the (earlier, later) pair breaks the variant.
 
-    Weakly monotone gating is the caller's business; this is the ungated
-    pair condition.
+    A pair breaks caution when the later extension is a proper subset of
+    the earlier one (and, for caut_fin/caut_inf, is finite/infinite); the
+    witnesses are the elements the descent loses. Weakly monotone gating
+    is `_pair_site`'s business; this is the ungated pair condition.
     """
+    if variant in _CAUTIOUS:
+        if (not _lands(variant, wb)
+                or relate(wb, wa) is not Relation.PROPER_SUBSET):
+            return EMPTY
+        return difference(wa, wb)
     if variant in ("mon", "mon_b"):
         bad = difference(intersection(wa, target), wb)
         if variant == "mon":
@@ -160,34 +176,15 @@ def _pair_bad(variant: str, wa: UPSet, wb: UPSet, target: UPSet) -> UPSet:
     return union(difference(wa, wb), difference(wb, wa))  # smon_b, wmon_b
 
 
-def _lands(variant: str, wb: UPSet) -> bool:
-    """Does the later extension meet the variant's finiteness condition?"""
-    return variant == "caut" or wb.is_finite() == (variant == "caut_fin")
-
-
-def _caut_bad(variant: str, wa: UPSet, wb: UPSet) -> UPSet:
-    """Elements witnessing that the (earlier, later) pair breaks the variant.
-
-    A pair breaks caution when the later extension is a proper subset of
-    the earlier one (and, for caut_fin/caut_inf, is finite/infinite); the
-    witnesses are the elements the descent loses.
-    """
-    if (not _lands(variant, wb)
-            or relate(wb, wa) is not Relation.PROPER_SUBSET):
-        return EMPTY
-    return difference(wa, wb)
-
-
-def _earliest(exts: list[UPSet], t: int) -> dict[UPSet, int]:
-    """Earliest index of each distinct extension before t but exts[t]'s.
-
-    The dict is in index order, so the first bad one found is the least s.
-    """
+def _earliest(exts: list[UPSet], t: int) -> list[tuple[int, int]]:
+    """The sites (s, t), s the earliest index of each distinct extension
+    before t but exts[t]'s, in index order: the first bad one is the least
+    s."""
     firsts: dict[UPSet, int] = {}
     for s in range(t):
         firsts.setdefault(exts[s], s)
     firsts.pop(exts[t], None)
-    return firsts
+    return [(s, t) for s in firsts.values()]
 
 
 # The witnesses of a site that names no element: None alone.
@@ -268,13 +265,11 @@ def _pair_site(variant: str, seq: HypSequence, indices) -> UPSet:
     if len(indices) != 2 or indices[0] >= indices[1]:
         return EMPTY
     s, t = indices
-    wa, wb = seq[s].extension, seq[t].extension
-    if variant in _CAUTIOUS:
-        return _caut_bad(variant, wa, wb)
+    wa = seq[s].extension
     if variant.startswith("wmon") and not _consistent_at(
             wa, seq.index, len(seq) - 1, t):
         return EMPTY
-    return _pair_bad(variant, wa, wb, seq.informant.target)
+    return _pair_bad(variant, wa, seq[t].extension, seq.informant.target)
 
 
 _SITES = {**{rid: partial(_pair_site, rid) for rid in RESTRICTION_IDS},
@@ -313,47 +308,42 @@ def violation(restriction: str, seq: HypSequence, indices: tuple[int, ...],
     return Verdict(restriction, False, indices, element, detail)
 
 
-def _verdict(rid: str, seq: HypSequence, site, satisfied: str = "") -> Verdict:
+def _verdict(rid: str, seq: HypSequence, sites,
+             satisfied: str = "") -> Verdict:
+    """The verdict at the first of the candidate `sites` with a witness."""
+    site = _first_site(rid, seq, sites)
     if site is None:
         return Verdict(rid, True, detail=satisfied)
     return violation(rid, seq, *site)
 
 
 def check_cons(seq: HypSequence) -> Verdict:
-    return _verdict("cons", seq, _first_site(
-        "cons", seq, ((n,) for n in range(len(seq)))))
+    return _verdict("cons", seq, ((n,) for n in range(len(seq))))
 
 
-def _chain_site(variant: str, seq: HypSequence):
-    """First bad ((s, t), element) of an ungated pair variant, or None.
+def _chain_sites(variant: str, seq: HypSequence):
+    """Candidate sites of an ungated pair variant, in scan order.
 
     Fine pairs compose, so the first bad t is the first change point whose
-    step (t-1, t) is bad; only there are the earlier extensions searched.
+    step (t-1, t) is bad; only there are the earlier extensions offered.
     """
     target = seq.informant.target
     exts = [h.extension for h in seq.items]
     for t in range(1, len(exts)):
-        wb = exts[t]
-        if (wb == exts[t - 1]
-                or _pair_bad(variant, exts[t - 1], wb, target) == EMPTY):
-            continue
-        for wa, s in _earliest(exts, t).items():
-            bad = _pair_bad(variant, wa, wb, target)
-            if bad != EMPTY:
-                return (s, t), min_element(bad)
-    return None
+        wa, wb = exts[t - 1], exts[t]
+        if wa != wb and _pair_bad(variant, wa, wb, target) != EMPTY:
+            yield from _earliest(exts, t)
 
 
-def _gated_site(variant: str, seq: HypSequence):
-    """First bad ((s, t), element) of a weakly monotone variant, or None.
+def _gated_sites(variant: str, seq: HypSequence):
+    """Candidate sites of a weakly monotone variant, in scan order.
 
     The gate only tightens as t grows, so an extension leaves the live set
     for good at the first change point where it fails the gate, and one
     that fails it right after its first index never enters (nor re-enters
     when it recurs).
     """
-    target, index = seq.informant.target, seq.index
-    horizon = len(seq) - 1
+    index, horizon = seq.index, len(seq) - 1
     exts = [h.extension for h in seq.items]
     live: dict[UPSet, int] = {}  # extension -> earliest index, index order
     for t, wb in enumerate(exts):
@@ -363,26 +353,23 @@ def _gated_site(variant: str, seq: HypSequence):
             if not _consistent_at(wa, index, horizon, t):
                 del live[wa]
             elif wa != wb:
-                bad = _pair_bad(variant, wa, wb, target)
-                if bad != EMPTY:
-                    return (s, t), min_element(bad)
+                yield s, t
         if (t < horizon and wb not in live
                 and _consistent_at(wb, index, horizon, t + 1)):
             live[wb] = t
-    return None
 
 
 def check_monotone(variant: str, seq: HypSequence) -> Verdict:
     if variant not in _MONOTONE:
         raise ValueError(f"not a monotonicity variant: {variant!r}")
-    scan = _gated_site if variant.startswith("wmon") else _chain_site
+    scan = _gated_sites if variant.startswith("wmon") else _chain_sites
     return _verdict(variant, seq, scan(variant, seq))
 
 
-def _caut_site(variant: str, seq: HypSequence):
-    """First bad ((s, t), element) of a pair caution variant, or None.
+def _caut_sites(variant: str, seq: HypSequence):
+    """Candidate sites of a pair caution variant, in scan order.
 
-    A change point is searched only when its extension meets the
+    A change point is offered only when its extension meets the
     finiteness condition and some earlier extension strictly contains it.
     `tops` holds the earlier extensions that no other earlier one strictly
     contains; every earlier extension lies inside one of them, so asking
@@ -395,22 +382,18 @@ def _caut_site(variant: str, seq: HypSequence):
             continue
         rels = [relate(wb, m) for m in tops]
         if Relation.PROPER_SUBSET in rels and _lands(variant, wb):
-            for wa, s in _earliest(exts, t).items():
-                bad = _caut_bad(variant, wa, wb)
-                if bad != EMPTY:
-                    return (s, t), min_element(bad)
+            yield from _earliest(exts, t)
         if Relation.PROPER_SUBSET not in rels and Relation.EQUAL not in rels:
             tops = [m for m, r in zip(tops, rels)
                     if r is not Relation.PROPER_SUPERSET] + [wb]
-    return None
 
 
 def check_cautious(variant: str, seq: HypSequence) -> Verdict:
     if variant not in _CAUTIOUS:
         raise ValueError(f"not a caution variant: {variant!r}")
-    site = (_first_site(variant, seq, ((t,) for t in range(len(seq))))
-            if variant == "caut_tar" else _caut_site(variant, seq))
-    return _verdict(variant, seq, site)
+    sites = (((t,) for t in range(len(seq))) if variant == "caut_tar"
+             else _caut_sites(variant, seq))
+    return _verdict(variant, seq, sites)
 
 
 def check_bc(seq: HypSequence) -> Verdict:
@@ -418,8 +401,7 @@ def check_bc(seq: HypSequence) -> Verdict:
     target = seq.informant.target
     start = next((n + 1 for n in range(h, -1, -1)
                   if seq[n].extension != target), 0)
-    return _verdict("bc", seq, _first_site("bc", seq, [(h,)]),
-                    f"correct from {start}")
+    return _verdict("bc", seq, [(h,)], f"correct from {start}")
 
 
 def check_ex(seq: HypSequence) -> Verdict:
@@ -433,8 +415,7 @@ def check_ex(seq: HypSequence) -> Verdict:
     settled = next((t for t in range(h, 0, -1)
                     if seq[t].label != seq[t - 1].label), 0)
     sites = [(h - 1, h) if h else (0,)] + [(n,) for n in range(settled, h + 1)]
-    return _verdict("ex", seq, _first_site("ex", seq, sites),
-                    f"settled at {settled}")
+    return _verdict("ex", seq, sites, f"settled at {settled}")
 
 
 def check(restriction: str, seq: HypSequence) -> Verdict:

@@ -99,6 +99,20 @@ ROWS = [
      ["targets[0]: count must be a positive integer",
       "targets[1]: count must be a positive integer",
       f"targets[2]: unknown family 'zzz'; {_FAMILIES}"]),
+    # a key that only another kind of target takes
+    ("targets-upset-count",
+     {**_BASE, "targets": [{"upset": "|1", "count": 3}]},
+     ["targets[0]: key 'count' belongs to family targets, not upset"]),
+    ("targets-family-params",
+     {**_BASE, "targets": [{"family": "finite", "params": {"x": 1}}]},
+     ["targets[0]: key 'params' belongs to language targets, not family"]),
+    ("targets-upset-sweep",
+     {**_BASE, "targets": [{"upset": "|1", "sweep": {"n": [1]}}]},
+     ["targets[0]: key 'sweep' belongs to language targets, not upset"]),
+    ("targets-language-count",
+     {**_BASE, "targets": [{"language": "segment", "params": {"n": 2},
+                            "count": 5}]},
+     ["targets[0]: key 'count' belongs to family targets, not language"]),
     ("schedules-not-list", {**_BASE, "schedules": "canonical"},
      ["schedules must be a list"]),
     ("schedules-entries",

@@ -203,6 +203,19 @@ def test_shuffled_schedule_rows():
     assert report.fingerprint.schedule_seeds == (3,)
 
 
+def test_equal_schedules_give_one_row_each():
+    cfg = validate_config(_config(
+        schedules=[{"order": "canonical"}, {"order": "shuffled", "seed": 3},
+                   {}, {"order": "canonical", "plan": []},
+                   {"order": "shuffled", "seed": 3}],
+        restrictions=["cons"]))
+    assert cfg.schedules == (Schedule("canonical"), Schedule("shuffled", 3))
+    report = run_experiment(cfg)
+    assert [r.informant for r in report.rows] == [
+        "canonical", "shuffled[seed=3]"]
+    assert report.fingerprint.schedule_seeds == (3,)
+
+
 def test_machine_report_round_trips_and_is_stable():
     cfg_text = _config(schedules=[{"order": "shuffled", "seed": 7}],
                        adversaries=[{"id": "caut_tar"}])

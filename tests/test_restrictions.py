@@ -480,17 +480,15 @@ def test_sites_are_stable_when_the_horizon_doubles(seq):
 def _pair_tests(monkeypatch, seq) -> int:
     """Pair tests made by one check_all: monotone plus caution pairs."""
     calls = 0
+    pair_bad = restrictions._pair_bad
 
-    def counting(fn):
-        def wrapper(*args):
-            nonlocal calls
-            calls += 1
-            return fn(*args)
-        return wrapper
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return pair_bad(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(restrictions, "_pair_bad", counting(restrictions._pair_bad))
-        m.setattr(restrictions, "_caut_bad", counting(restrictions._caut_bad))
+        m.setattr(restrictions, "_pair_bad", counting)
         check_all(seq)
     return calls
 
@@ -505,6 +503,25 @@ def test_check_all_makes_a_linear_number_of_pair_tests(
     counts = [_pair_tests(monkeypatch, run(catalog_learner(lid), informant, h))
               for h in (100, 200)]
     assert 0 < counts[1] <= 2.5 * counts[0], counts
+
+
+def test_checks_report_only_sites_their_site_function_confirms(monkeypatch):
+    """Every check tests its candidates with `_SITES[rid]`, the function
+    `evaluate_site` applies: refusing every site leaves nothing to report.
+
+    The runs are catalog runs and, since no catalog run breaks the weakly
+    monotone variants, two hand-built ones; each id is broken by some.
+    """
+    runs = [run(catalog_learner(lid), canonical_informant(parse(t)), 20)
+            for lid in LEARNER_IDS for t in ("|0", "0|1", "|10")]
+    runs += [seq_of(EVENS, [fin(0, 1), fin(0)]),
+             seq_of(EVENS, [fin(0), fin(0, 2)])]
+    for rid in RESTRICTION_IDS:
+        broken = [seq for seq in runs if not check(rid, seq).satisfied]
+        assert broken, rid
+        with monkeypatch.context() as m:
+            m.setitem(restrictions._SITES, rid, lambda seq, indices: EMPTY)
+            assert all(check(rid, seq).satisfied for seq in broken), rid
 
 
 @st.composite

@@ -202,7 +202,8 @@ def parse_sequence(text: str) -> DataSequence:
     items = []
     for chunk in text.split(","):
         value_text, _, sign = chunk.strip().partition(":")
-        if sign not in ("+", "-") or not value_text.isdigit():
+        if sign not in ("+", "-") or not (value_text.isascii()
+                                          and value_text.isdigit()):
             raise ValueError(f"malformed example {chunk!r}")
         items.append(Example(int(value_text), 1 if sign == "+" else 0))
     return DataSequence(tuple(items))
@@ -236,7 +237,7 @@ class Informant:
 
     A head entry is a bare natural, which the target labels, or a
     (value, label) pair that must agree with the target.
-    Runs, checks and games read it through its buffer (`_buffer`), so
+    Runs, checks and games read it through its buffer (`_read`), so
     each index is read once whatever reads it.
     """
 
@@ -307,16 +308,24 @@ class EvidenceIndex:
         self.positives, self.negatives = [0], [0]
 
 
-def _buffer(informant) -> tuple[list[Example], EvidenceIndex]:
-    """The informant's buffer: the examples it has shown so far, each
-    validated once, and their evidence index. Kept in the instance dict,
-    as no field, so equality, hashing and repr do not see it; grown only
-    by `prefixes`, so a view of it stays valid; holding no reference
-    back, so a dropped informant frees it."""
+def _read(informant, n: int) -> tuple[list[Example], EvidenceIndex]:
+    """The informant's buffer, read on to hold at least n examples: the
+    examples shown, each validated once and checked before it is kept,
+    and their evidence index. It lives in the instance dict, unseen by
+    equality, hashing and repr; only appended to, so views of it stay
+    valid; holding no reference back, so a dropped informant frees it."""
     buf = vars(informant).get("_buffer")
     if buf is None:
         buf = ([], EvidenceIndex())
         object.__setattr__(informant, "_buffer", buf)
+    examples, index = buf
+    ps, ns = index.positives, index.negatives
+    for i in range(len(examples), n):
+        ex = _as_example(informant.example_at(i))
+        p, q = _shown((ps[i], ns[i]), ex)
+        examples.append(ex)
+        ps.append(p)
+        ns.append(q)
     return buf
 
 
@@ -346,26 +355,14 @@ def prefixes(
 ) -> Iterator[tuple[DataSequence, DataSet]]:
     """Yield `(prefix(informant, n), content(prefix(informant, n)))`, n = 0..horizon.
 
-    Each is an O(1) view (see `_view`) of the informant's buffer, with the
-    masks of its index. An example no reader has reached is read, checked
-    against the masks and only then kept, so a refused one never is; a
-    reader may read further meanwhile. A content is made anew only when
-    the example is new. So a pass is linear in `horizon`, up to the masks.
-    """
-    examples, index = _buffer(informant)
+    The buffer is read on to `horizon` first (`_read`). Each is then an
+    O(1) view (see `_view`) of it, and a content is made anew only at a
+    new example. A pass is linear in `horizon`, up to the masks."""
+    examples, index = _read(informant, horizon)
     ps, ns = index.positives, index.negatives
-    masks = (0, 0)
-    dset = _view(DataSet, examples, 0, masks)
-    yield _view(DataSequence, examples, 0, masks), dset
-    for n in range(1, horizon + 1):
-        if n > len(examples):
-            ex = _as_example(informant.example_at(n - 1))
-            shown = _shown(masks, ex)
-            examples.append(ex)
-            ps.append(shown[0])
-            ns.append(shown[1])
-        else:
-            shown = (ps[n], ns[n])
+    masks = None
+    for n in range(horizon + 1):
+        shown = ps[n], ns[n]
         if shown != masks:  # a new example: the content grows
             masks = shown
             dset = _view(DataSet, examples, n, masks)

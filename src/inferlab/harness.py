@@ -204,6 +204,8 @@ def _language_entry(entry) -> list[UPSet]:
     if not isinstance(fixed, dict) or not isinstance(sweep, dict):
         raise ValueError("params and sweep must be objects")
     for key, values in sweep.items():
+        if key in fixed:
+            raise ValueError(f"parameter {key!r} is both fixed and swept")
         if not isinstance(values, list) or not values:
             raise ValueError(f"sweep value for {key!r} must be a "
                              "non-empty list")
@@ -508,8 +510,8 @@ def _from_json(hint, value):
     """The value of the annotated type whose `_to_json` image is `value`.
 
     A malformed image raises KeyError, TypeError or AttributeError. A
-    tuple must come as an array and a scalar as its own type; a bool is
-    not an int.
+    tuple must come as an array, as long as its hint unless that ends in
+    `...`, and a scalar as its own type; a bool is not an int.
     """
     if dataclasses.is_dataclass(hint):
         hints = typing.get_type_hints(hint)
@@ -525,7 +527,11 @@ def _from_json(hint, value):
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, list):
             raise TypeError(f"expected an array, got {value!r}")
-        return tuple(_from_json(args[0], v) for v in value)
+        if args[-1] is ...:
+            args = (args[0],) * len(value)
+        if len(value) != len(args):
+            raise TypeError(f"expected {len(args)} items, got {value!r}")
+        return tuple(map(_from_json, args, value))
     if type(value) is not hint:
         raise TypeError(f"expected {hint.__name__}, got {value!r}")
     return value

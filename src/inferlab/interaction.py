@@ -10,20 +10,18 @@ the learner gets to see at step n of an informant presentation:
 
 Iterative runs start from a designated empty-extension hypothesis, so the
 hypothesis stream is total from step 0 in every mode. Every mode reads the
-informant through `evidence.prefixes`, so every mode refuses the same bad
-informants. `_handed` alone says what a G, Psd or Sd learner is handed;
-every mode passes the context last.
+informant through its one buffer (`evidence._read`), so every mode refuses
+the same bad informants. `_handed` alone says what a G, Psd or Sd learner
+is handed; every mode passes the context last.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 from typing import Callable
 
-from .evidence import EvidenceIndex, Informant, _buffer, content, prefixes
+from .evidence import EvidenceIndex, Informant, _read, content, prefixes
 from .hypothesis import Hypothesis, hypothesis_for
 from .upset import EMPTY
 
@@ -70,10 +68,7 @@ class HypSequence:
     @cached_property
     def index(self) -> EvidenceIndex:
         """The informant's evidence index, read to this sequence's length."""
-        examples, index = _buffer(self.informant)
-        if len(examples) < len(self) - 1:  # read on through the buffer
-            deque(prefixes(self.informant, len(self) - 1), 0)
-        return index
+        return _read(self.informant, len(self) - 1)[1]
 
     def __len__(self) -> int:
         return len(self.items)
@@ -103,14 +98,14 @@ def run(
 ) -> HypSequence:
     """Evaluate the learner on prefixes 0..horizon of the informant.
 
-    A learner is handed O(1) views of the informant's buffer
-    (`evidence.prefixes`), which reads each example once, whatever reads
-    the informant, and builds a view's items only if the learner reads
-    them; an It learner is handed the new example itself. So the run's own
-    cost is linear in `horizon`, up to the masks, which are as wide as the
-    largest value shown; what the learner does comes on top. The buffer
-    keeps each prefix's masks, so judging the run reads the informant no
-    more.
+    The informant's buffer (`evidence._read`) is read to `horizon` before
+    the learner's first step. It reads each example once, whatever reads
+    the informant, and keeps each prefix's masks for the judging. A G,
+    Psd or Sd learner is handed O(1) views of it (`evidence.prefixes`),
+    which build their items only if read; an It learner is handed the
+    example alone. So the run's own cost is linear in `horizon`, up to
+    the masks, which are as wide as the largest value shown; what the
+    learner does comes on top.
     """
     if horizon < 0:
         raise ValueError("horizon must be a natural")
@@ -118,10 +113,9 @@ def run(
         ctx = EvalContext()
     kind, fn = learner.kind, learner.fn
     if kind == "It":
-        examples, items = _buffer(informant)[0], [INITIAL_HYPOTHESIS]
-        # prefix i + 1 is the one that shows examples[i]
-        for i, _ in enumerate(islice(prefixes(informant, horizon), 1, None)):
-            items.append(fn(items[-1], examples[i], ctx))
+        items = [INITIAL_HYPOTHESIS]
+        for ex in _read(informant, horizon)[0][:horizon]:
+            items.append(fn(items[-1], ex, ctx))
     else:
         items = [fn(*_handed(kind, d, dset), ctx)
                  for d, dset in prefixes(informant, horizon)]

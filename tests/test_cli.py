@@ -174,12 +174,20 @@ def test_demo_command():
 
 
 def test_report_depends_on_its_config_alone(tmp_path):
+    """Neither the retired INFERLAB_SEED nor the hash seed changes a byte."""
     import os
     path = write_config(tmp_path, expect="witness",
-                        schedules=[{"order": "shuffled", "seed": 3}])
+                        targets=[{"family": "*", "count": 2}],
+                        schedules=[{"order": "shuffled", "seed": 3}],
+                        adversaries=[{"id": "caut_tar"}])
     plain = run_cli("check", path, "--mode", "machine")
-    seeded = run_cli("check", path, "--mode", "machine",
-                     env=dict(os.environ, INFERLAB_SEED="9"))
-    assert plain.returncode == seeded.returncode == 0
-    assert seeded.stdout == plain.stdout
-    assert parse_report(plain.stdout).fingerprint.schedule_seeds == (3,)
+    others = [run_cli("check", path, "--mode", "machine",
+                      env=dict(os.environ, **extra))
+              for extra in ({"INFERLAB_SEED": "9"}, {"PYTHONHASHSEED": "0"},
+                            {"PYTHONHASHSEED": "12345"})]
+    assert plain.returncode == 0
+    assert [(p.returncode, p.stdout) for p in others] == \
+        [(0, plain.stdout)] * 3
+    report = parse_report(plain.stdout)
+    assert report.fingerprint.schedule_seeds == (3,)
+    assert len({r.language for r in report.rows}) > 2 and report.adversaries

@@ -92,6 +92,10 @@ ROWS = [
       f"targets[3]: unknown language 'zzz'; {_LANGUAGES}",
       "targets[4]: bad parameters for 'finite': {'zzz': 1}",
       "targets[5]: need n < m, got n=3, m=1"]),
+    ("targets-language-fixed-and-swept",
+     {**_BASE, "targets": [{"language": "segment", "params": {"n": 2},
+                            "sweep": {"n": [3]}}]},
+     ["targets[0]: parameter 'n' is both fixed and swept"]),
     ("targets-family",
      {**_BASE, "targets": [{"family": "finite", "count": 0},
                            {"family": "finite", "count": True},

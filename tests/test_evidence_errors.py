@@ -127,6 +127,11 @@ ROWS = [
      "malformed example '-1:+'"),
     ("parse-no-sign", lambda: parse_sequence("1:+, 2"),
      "malformed example ' 2'"),
+    # digits are ASCII only, as `format_sequence` writes them
+    ("parse-superscript-digit", lambda: parse_sequence("\u00b2:+"),
+     "malformed example '\u00b2:+'"),
+    ("parse-arabic-indic-digit", lambda: parse_sequence("\u0661:+"),
+     "malformed example '\u0661:+'"),
     ("parse-two-labels", lambda: parse_sequence("4:+,4:-"),
      "contradictory labels for 4"),
     ("parse-syntax-before-labels", lambda: parse_sequence("4:+,4:-,x"),

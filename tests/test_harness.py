@@ -281,6 +281,20 @@ def test_parse_report_refuses_mutated_documents_with_value_error():
     assert parse_report(json.dumps(doc)) == report
 
 
+def test_parse_report_takes_a_split_of_exactly_two_values():
+    report = run_experiment(validate_config(json.dumps({
+        "learner": "constant_empty", "horizon": 3,
+        "adversaries": [{"id": "mindchange"}]})))
+    doc = report_to_dict(report)
+    split = doc["adversaries"][0]["split"]
+    assert doc["adversaries"][0]["kind"] == "split-pair" and len(split) == 2
+    assert parse_report(json.dumps(doc)) == report
+    for bad in (split[:1], [*split, split[0]]):
+        doc["adversaries"][0]["split"] = bad
+        with pytest.raises(ValueError, match="not a report document"):
+            parse_report(json.dumps(doc))
+
+
 # A machine report written before the config `seed` left the fingerprint.
 _OLDER_CONFIG = {"learner": "cofinite", "targets": [{"upset": "10|1"}],
                  "schedules": [{"order": "shuffled", "seed": 3}],

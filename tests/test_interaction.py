@@ -356,6 +356,44 @@ def test_a_constant_learner_has_no_items_built(monkeypatch, kind):
                             inf, 200) == handed
 
 
+def _counted_reads(monkeypatch) -> tuple[list, list]:
+    """The classes of the views `evidence._view` builds from now on, and
+    the indices `Informant.example_at` is asked for."""
+    built, calls = [], []
+    view, example_at = evidence._view, Informant.example_at
+
+    def counted_view(cls, *args):
+        built.append(cls)
+        return view(cls, *args)
+
+    def counted_example_at(self, i):
+        calls.append(i)
+        return example_at(self, i)
+
+    monkeypatch.setattr(evidence, "_view", counted_view)
+    monkeypatch.setattr(Informant, "example_at", counted_example_at)
+    return built, calls
+
+
+def test_an_iterative_run_builds_no_view(monkeypatch):
+    """An It learner is handed the example alone, read off the buffer."""
+    built, calls = _counted_reads(monkeypatch)
+    inf = Informant(parse("10|1"), (9, 3, 3), "shuffled", 4)
+    seq = run(IT_COLLECT, inf, 200)
+    assert built == [] and calls == list(range(200))
+    assert seq.final == run(as_full_information(IT_COLLECT), inf, 200).final
+
+
+def test_the_index_of_a_sequence_built_by_hand_builds_no_view(monkeypatch):
+    built, calls = _counted_reads(monkeypatch)
+    inf = Informant(parse("10|1"), (9, 3, 3), "shuffled", 4)
+    index = HypSequence((INITIAL_HYPOTHESIS,) * 201, "handmade", inf).index
+    assert built == [] and calls == list(range(200))
+    assert len(index.positives) == len(index.negatives) == 201
+    assert (index.positives[200], index.negatives[200]) == \
+        prefix(inf, 200).masks
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(("G", "Psd", "Sd")), st.sampled_from(ORDERS),
        st.sampled_from(("|0", "|1", "10|1", "0110|10", "|100")),

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterator
 
-from .evidence import format_sequence, pos
 from .hypothesis import Hypothesis, hypothesis_for
 from .interaction import Learner
 from .upset import (EMPTY, NATURALS, UPSet, complement, from_elements,
-                    from_mask, parse)
+                    from_mask, parse, to_mask)
 
 __all__ = [
     "FAMILY_IDS",
@@ -75,15 +75,7 @@ def _lang_cofinite(remove=()) -> UPSet:
 
 def _lang_segment(n) -> UPSet:
     # the segment {0, ..., n}; the family has no empty member
-    return from_elements(range(_natural("n", n) + 1))
-
-
-def _lang_naturals() -> UPSet:
-    return NATURALS
-
-
-def _lang_stream_x() -> UPSet:
-    return STREAM_X
+    return from_mask((2 << _natural("n", n)) - 1)
 
 
 def _lang_stream_y(n) -> UPSet:
@@ -92,37 +84,31 @@ def _lang_stream_y(n) -> UPSet:
 
 
 def _lang_stream_z(n, m) -> UPSet:
+    # a_0 .. a_n, then b_{n+1} .. b_m, then c_m
     n, m = _pair(n, m)
-    xs = [3 * i for i in range(n + 1)]
-    xs += [3 * i + 1 for i in range(n + 1, m + 1)]
-    xs.append(3 * m + 2)
-    return from_elements(xs)
-
-
-def _lang_even_x() -> UPSet:
-    return EVEN_X
+    return UPSet("100" * (n + 1) + "010" * (m - n - 1) + "011", "0")
 
 
 def _lang_even_y(n) -> UPSet:
-    n = _natural("n", n)
-    return from_elements([2 * i for i in range(n + 1)] + [2 * n + 1])
+    # the evens up to 2n, then the odd marker 2n + 1
+    return UPSet("10" * _natural("n", n) + "11", "0")
 
 
 def _lang_even_z(n, m) -> UPSet:
+    # Y_n, then the later even 2m
     n, m = _pair(n, m)
-    xs = [2 * i for i in range(n + 1)] + [2 * n + 1, 2 * m]
-    return from_elements(xs)
+    return UPSet("10" * n + "11" + "00" * (m - n - 1) + "1", "0")
 
 
 _LANGUAGES = {
     "finite": _lang_finite,
     "cofinite": _lang_cofinite,
     "segment": _lang_segment,
-    "naturals": _lang_naturals,
-    "streamX": _lang_stream_x,
+    "naturals": lambda: NATURALS,
+    "streamX": lambda: STREAM_X,
     "streamY": _lang_stream_y,
     "streamZ": _lang_stream_z,
-    "evenX": _lang_even_x,
+    "evenX": lambda: EVEN_X,
     "evenY": _lang_even_y,
     "evenZ": _lang_even_z,
 }
@@ -201,40 +187,45 @@ def _n_or_fin(sigma, ctx) -> Hypothesis:
     return hypothesis_for(from_mask(ps))
 
 
-def _stream_mon(sigma, ctx) -> Hypothesis:
-    ps = pos(sigma)
-    boundary = None
-    for n in sorted(x // 3 for x in ps if x % 3 == 0):
-        if 3 * n + 4 in ps:  # a_n and b_{n+1} both witnessed
-            boundary = n
-            break
-    if boundary is None:
-        return hypothesis_for(STREAM_X)
-    ends = sorted(x // 3 for x in ps if x % 3 == 2 and x // 3 > boundary)
-    if not ends:
-        return hypothesis_for(_lang_stream_y(boundary))
-    return hypothesis_for(_lang_stream_z(boundary, ends[0]))
+_row_starts = lru_cache(maxsize=64)(to_mask)
 
 
-def _even_dualmon(sigma, ctx) -> Hypothesis:
-    ps = pos(sigma)
-    boundary = None
-    for n in sorted(x // 2 for x in ps if x % 2 == 1):
-        if 2 * n in ps:  # the odd marker and its even partner
-            boundary = n
-            break
-    if boundary is None:
-        return hypothesis_for(EVEN_X)
-    tails = sorted(x // 2 for x in ps if x % 2 == 0 and x // 2 > boundary)
-    if not tails:
-        return hypothesis_for(_lang_even_y(boundary))
-    return hypothesis_for(_lang_even_z(boundary, tails[0]))
+def _tier_reader(x: UPSet, y, z, pair: int, end: int):
+    """The learner that climbs a family's tiers X, Y_n, Z_{n,m}. X's
+    members start the rows of its alphabet, X's period length is the row
+    width. The boundary n is the least row whose start and the value
+    `pair` past it are positive, the end m the least later row whose value
+    `end` past its start is: bit patterns of the positives mask."""
+    width = len(x.period)
+
+    def fn(d, ctx) -> Hypothesis:
+        ps = d.masks[0]
+        # the row starts up to a power of two: made once per such width
+        starts = _row_starts(x, 1 << ps.bit_length().bit_length())
+        pairs = starts & ps & (ps >> pair)
+        if not pairs:
+            return hypothesis_for(x)
+        r = (pairs & -pairs).bit_length() - 1
+        ends = starts & (ps >> end) & (-2 << r)  # rows after the boundary
+        if not ends:
+            return hypothesis_for(y(r // width))
+        return hypothesis_for(z(r // width,
+                                ((ends & -ends).bit_length() - 1) // width))
+
+    return fn
+
+
+# markers: a_n with b_{n+1} = 3n + 4, then c_m = 3m + 2
+_stream_mon = _tier_reader(STREAM_X, _lang_stream_y, _lang_stream_z, 4, 2)
+# markers: 2n with the odd 2n + 1, then the even 2m
+_even_dualmon = _tier_reader(EVEN_X, _lang_even_y, _lang_even_z, 1, 0)
 
 
 def _fresh_label(d, ctx) -> Hypothesis:
-    # memorizer: one label per distinct content, stable across runs
-    code = int.from_bytes(format_sequence(d).encode(), "big")
-    return Hypothesis(2 * code + 1, from_mask(d.masks[0]))
+    # memorizer: one odd label per distinct content, stable across runs,
+    # from the Cantor pairing of the two masks
+    p, n = d.masks
+    return Hypothesis((p + n) * (p + n + 1) + 2 * n + 1, from_mask(p))
 
 
 def _constant_empty(d, ctx) -> Hypothesis:

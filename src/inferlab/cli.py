@@ -17,6 +17,7 @@ from .catalog import LEARNER_IDS, learner
 from .harness import (
     ConfigError,
     _adversary_row,
+    _check_opponent_mode,
     demo_scenarios,
     exit_code,
     format_adversary_row,
@@ -53,6 +54,7 @@ def _cmd_check(args) -> int:
 def _cmd_adversary(args) -> int:
     try:
         bounds = Bounds(args.n_search, args.t_bound, args.rounds)
+        _check_opponent_mode(args.id, learner(args.opponent).kind)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from None
     witness = run_adversary(args.id, learner(args.opponent), bounds)
@@ -77,6 +79,9 @@ def _cmd_algebra(args) -> int:
         elif args.op == "complement":
             print(complement(parse(ops[0])))
         elif args.op == "member":
+            if not (ops[1].isascii() and ops[1].isdigit()):
+                raise ValueError("member takes a natural in decimal digits,"
+                                 f" got {ops[1]!r}")
             print("yes" if parse(ops[0]).member(int(ops[1])) else "no")
         else:
             print(combine(args.op, parse(ops[0]), parse(ops[1])))

@@ -46,11 +46,11 @@ from .interaction import Learner, as_full_information
 from .upset import (
     EMPTY,
     UPSet,
-    bounded_elements,
     complement,
     difference,
     from_elements,
     from_mask,
+    to_mask,
     union,
 )
 
@@ -212,7 +212,7 @@ def _narrow(live: dict, ex: Example, top: int) -> dict:
         if ext.member(ex.value):
             if not ex.label and (t_bad is None or ex.value < t_bad):
                 t_bad = ex.value
-                window = from_elements(bounded_elements(ext, t_bad - 1))
+                window = from_mask(to_mask(ext, t_bad))
         elif ex.label:
             continue
         if t_bad is None or top < t_bad:

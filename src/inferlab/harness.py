@@ -289,6 +289,14 @@ def _resolve_schedules(raw, cfg, errors) -> tuple[Schedule, ...]:
         errors))) or (Schedule(),)
 
 
+def _check_opponent_mode(adversary_id: str, kind: str) -> None:
+    """Raise ValueError if the adversary cannot play an opponent of the
+    interaction mode `kind`: the mindchange game needs a set-driven one."""
+    if adversary_id == "mindchange" and kind != "Sd":
+        raise ValueError("mindchange needs a set-driven opponent; "
+                         f"the pipeline is {kind}")
+
+
 def _resolve_adversaries(raw, cfg, errors) -> tuple[AdversaryRun, ...]:
     lid, comb = cfg["learner_id"], cfg["combinator_ids"]
 
@@ -297,11 +305,8 @@ def _resolve_adversaries(raw, cfg, errors) -> tuple[AdversaryRun, ...]:
         if adv not in ADVERSARY_IDS:
             raise ValueError(_unknown("adversary", adv, ADVERSARY_IDS))
         bounds = Bounds(**{k: v for k, v in entry.items() if k != "id"})
-        if adv == "mindchange" and None not in (lid, comb):
-            kind = build_pipeline(lid, comb).kind
-            if kind != "Sd":
-                raise ValueError("mindchange needs a set-driven opponent; "
-                                 f"the pipeline is {kind}")
+        if None not in (lid, comb):
+            _check_opponent_mode(adv, build_pipeline(lid, comb).kind)
         return AdversaryRun(adv, bounds)
 
     return tuple(_entries(raw, "adversaries",

@@ -137,7 +137,7 @@ def parse(text: str) -> UPSet:
 
 def bounded_elements(u: UPSet, bound: int) -> tuple[int, ...]:
     """All members x <= bound, increasing."""
-    return tuple(x for x, bit in enumerate(_expand(u, bound + 1)) if bit == "1")
+    return tuple(mask_elements(to_mask(u, bound + 1)))
 
 
 def min_element(u: UPSet) -> int | None:
@@ -151,14 +151,12 @@ def min_element(u: UPSet) -> int | None:
 
 def from_elements(xs: Iterable[int]) -> UPSet:
     """The finite set with exactly the given elements."""
-    elems = set(xs)
-    if not elems:
-        return EMPTY
-    if min(elems) < 0:
-        raise ValueError("naturals only")
-    top = max(elems)
-    bits = "".join("1" if x in elems else "0" for x in range(top + 1))
-    return UPSet(bits, "0")
+    m = 0
+    for x in xs:
+        if x < 0:
+            raise ValueError("naturals only")
+        m |= 1 << x
+    return from_mask(m)
 
 
 def from_mask(m: int) -> UPSet:

@@ -9,7 +9,10 @@ Three groups of times, each the best of three runs in this process:
 - each `sweep-wrapped` pipeline of `benchmark/workloads.py` at H = 1000
   and 4000, on the canonical informant of its base's target below;
 - `fin_pos` on `0|1` at H = 1000, `run` and then `check_all`, in
-  canonical order and shuffled with seed 5.
+  canonical order and shuffled with seed 5;
+- `stream_mon`, `even_dualmon` and `fresh_label` on the canonical
+  informant of `|1` at H = 1000 and 4000, with the factor between the
+  two.
 
 Each timed call gets an informant of its own: an informant keeps the
 examples it has shown, so a second run on the same one would not read
@@ -59,6 +62,9 @@ CONSTANT = {
 
 # the canonical target each pipeline's base learner is run on
 BASE_TARGETS = {"cofinite": "10|1", "segment": "1111|0", "fin_pos": "|10"}
+
+# catalog learners whose own cost per step once grew with the horizon
+CATALOG_LEARNERS = ("stream_mon", "even_dualmon", "fresh_label")
 
 SWEEP_LEARNERS = ("fin_pos", "constant_empty")
 SWEEP_CELLS = 4000
@@ -132,6 +138,14 @@ def main() -> int:
         checks = best(check_all, lambda: run(fin_pos, make(), 1000))
         print(f"fin_pos on 0|1 {label:<10}  H=1000 run {runs:7.3f} s"
               f"  check_all {checks:7.3f} s")
+    naturals = parse("|1")
+    for lid in CATALOG_LEARNERS:
+        lrn = learner(lid)
+        short, long = (best(lambda inf: run(lrn, inf, h),
+                            lambda: canonical_informant(naturals))
+                       for h in (1000, 4000))
+        print(f"{lid:<14} on |1  H=1000 {short:7.3f} s  H=4000 "
+              f"{long:7.3f} s  x{long / short:.1f}")
     for lid in SWEEP_LEARNERS:
         child = subprocess.run([sys.executable, __file__, "--sweep", lid],
                                capture_output=True, text=True, check=True)

@@ -5,15 +5,19 @@ and never calls into the package's algebra, so agreement is meaningful.
 The exception is the three wrapper oracles at the end: they rebuild every
 prefix of the evidence from scratch on the package's algebra, so agreeing
 with them shows that the incremental wrappers answer as a full rebuild
-does, not that the algebra is right.
+does, not that the algebra is right. So do the two three-tier reference
+learners after them, which read the positives value by value where the
+catalog reads bit patterns of the positives mask, and list the members
+of their finite conjectures one by one.
 """
 
 from __future__ import annotations
 
 import math
 
+from inferlab.catalog import EVEN_X, STREAM_X, _lang_stream_y
 from inferlab.evidence import DataSequence, Example, content, neg, pos
-from inferlab.hypothesis import Hypothesis, stage_enumerate
+from inferlab.hypothesis import Hypothesis, hypothesis_for, stage_enumerate
 from inferlab.interaction import Learner, as_full_information
 from inferlab.upset import EMPTY, UPSet, complement, from_elements, union
 
@@ -386,3 +390,52 @@ def raw_fourcase(learner: Learner) -> Learner:
         return ctx.memo[(*tag, d.items)]
 
     return Learner(f"{learner.name}[cons+wmon*]", "G", fn)
+
+
+def _raw_stream_z(n: int, m: int) -> UPSet:
+    xs = [3 * i for i in range(n + 1)]
+    xs += [3 * i + 1 for i in range(n + 1, m + 1)]
+    xs.append(3 * m + 2)
+    return from_elements(xs)
+
+
+def _raw_even_y(n: int) -> UPSet:
+    return from_elements([2 * i for i in range(n + 1)] + [2 * n + 1])
+
+
+def _raw_even_z(n: int, m: int) -> UPSet:
+    return from_elements([2 * i for i in range(n + 1)] + [2 * n + 1, 2 * m])
+
+
+def raw_stream_mon(sigma, ctx) -> Hypothesis:
+    """`stream_mon` by sorting the positives: the boundary is the least n
+    with a_n and b_{n+1} shown, the end the least later m with c_m."""
+    ps = pos(sigma)
+    boundary = None
+    for n in sorted(x // 3 for x in ps if x % 3 == 0):
+        if 3 * n + 4 in ps:  # a_n and b_{n+1} both witnessed
+            boundary = n
+            break
+    if boundary is None:
+        return hypothesis_for(STREAM_X)
+    ends = sorted(x // 3 for x in ps if x % 3 == 2 and x // 3 > boundary)
+    if not ends:
+        return hypothesis_for(_lang_stream_y(boundary))
+    return hypothesis_for(_raw_stream_z(boundary, ends[0]))
+
+
+def raw_even_dualmon(sigma, ctx) -> Hypothesis:
+    """`even_dualmon` by sorting the positives: the boundary is the least
+    n with 2n and 2n + 1 shown, the end the least later m with 2m."""
+    ps = pos(sigma)
+    boundary = None
+    for n in sorted(x // 2 for x in ps if x % 2 == 1):
+        if 2 * n in ps:  # the odd marker and its even partner
+            boundary = n
+            break
+    if boundary is None:
+        return hypothesis_for(EVEN_X)
+    tails = sorted(x // 2 for x in ps if x % 2 == 0 and x // 2 > boundary)
+    if not tails:
+        return hypothesis_for(_raw_even_y(boundary))
+    return hypothesis_for(_raw_even_z(boundary, tails[0]))

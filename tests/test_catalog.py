@@ -1,7 +1,10 @@
 """Catalog families and reference learners."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from inferlab import evidence
 from inferlab.catalog import (
     FAMILY_IDS,
     LANGUAGE_IDS,
@@ -17,12 +20,14 @@ from inferlab.evidence import (
     DataSequence,
     Informant,
     canonical_informant,
+    prefix,
 )
 from inferlab.hypothesis import hypothesis_for
 from inferlab.interaction import run
 from inferlab.restrictions import check, check_all
 from inferlab.upset import (EMPTY, NATURALS, UPSet, complement, from_elements,
                             parse)
+from oracles import raw_even_dualmon, raw_stream_mon
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +166,48 @@ def test_fresh_label_memorizer():
     assert a.fn(d1, None).label == b.fn(d1, None).label
     assert a.fn(d1, None).label != a.fn(d2, None).label
     assert a.fn(d2, None).extension == from_elements({0})
+
+
+# any evidence below 90, or a canonical prefix of a three-tier instance
+_drawn_evidence = st.one_of(
+    st.dictionaries(st.integers(0, 89), st.integers(0, 1), max_size=60).map(
+        lambda shown: DataSequence(tuple(shown.items()))),
+    st.builds(lambda u, n: prefix(canonical_informant(u), n),
+              st.sampled_from(family_instances("streamXYZ", 12)
+                              + family_instances("evenXYZ", 12)),
+              st.integers(0, 90)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_drawn_evidence)
+def test_three_tier_learners_match_their_references(d):
+    assert learner("stream_mon").fn(d, None) == raw_stream_mon(d, None)
+    assert learner("even_dualmon").fn(d, None) == raw_even_dualmon(d, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_drawn_evidence, _drawn_evidence)
+def test_fresh_label_is_odd_and_one_per_content(d1, d2):
+    fn = learner("fresh_label").fn
+    a, b = fn(evidence.content(d1), None), fn(evidence.content(d2), None)
+    assert a.label % 2 == 1 and b.label % 2 == 1
+    assert (a.label == b.label) == (evidence.content(d1)
+                                    == evidence.content(d2))
+
+
+@pytest.mark.parametrize("lid", LEARNER_IDS)
+def test_catalog_learners_read_the_masks_alone(lid, monkeypatch):
+    """A run of any catalog learner neither lists a mask's elements nor
+    builds the items of the evidence it is handed."""
+    family = {e.learner: e for e in list_catalog("learners")}[lid].family
+    target = family_instances(family, 3)[2]
+
+    def refuse(*args):
+        raise AssertionError("read past the masks")
+
+    monkeypatch.setattr(evidence, "mask_elements", refuse)
+    monkeypatch.setattr(evidence._Items, "__get__", refuse)
+    assert len(run(learner(lid), canonical_informant(target), 60)) == 61
 
 
 def test_constant_learners():

@@ -141,12 +141,22 @@ def test_adversary_command_exit_codes():
     assert empty.returncode == 0
     assert "exhausted" in empty.stdout
 
-    protocol = run_cli("adversary", "mindchange", "--opponent", "segment")
-    assert protocol.returncode == 2
-    assert "protocol error" in protocol.stderr
+    wrong_mode = run_cli("adversary", "mindchange", "--opponent", "segment")
+    assert wrong_mode.returncode == 2
+    assert "config error" in wrong_mode.stderr
 
     unknown = run_cli("adversary", "sideways", "--opponent", "cofinite")
     assert unknown.returncode == 2
+
+
+def test_adversary_refuses_a_wrong_mode_opponent():
+    """The CLI checks the opponent's mode before the game, by the rule a
+    config's adversaries are checked with, and says so as a config error."""
+    proc = run_cli("adversary", "mindchange", "--opponent", "segment")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("config error: mindchange needs a set-driven"
+                           " opponent; the pipeline is G\n")
 
 
 def test_algebra_command():
@@ -161,7 +171,10 @@ def test_algebra_command():
     for args, message in (
             (("relate", "|1"), "relate takes 2 operands, got 1"),
             (("complement", "|1", "|0"), "complement takes 1 operand, got 2"),
-            (("member", "|1"), "member takes 2 operands, got 1")):
+            (("member", "|1"), "member takes 2 operands, got 1"),
+            *((("member", "|10", text),
+               f"member takes a natural in decimal digits, got {text!r}")
+              for text in ("4_0", "+4", " 4", "\u0664", "-0", "0x4"))):
         proc = run_cli("algebra", *args)
         assert proc.returncode == 2
         assert proc.stderr == f"algebra error: {message}\n"

@@ -254,9 +254,12 @@ def test_every_mode_refuses_a_bad_informant(lrn, bad):
 
 @pytest.mark.parametrize("kind", ("G", "Psd", "Sd"))
 def test_a_run_nested_in_a_step_is_handed_exact_prefixes(kind):
-    """A learner that starts a longer run of the same informant inside
-    each of its steps grows the buffer under the outer run, which is
-    still handed exactly `prefix(inf, n)`, or its content, at every n."""
+    """A learner that starts a run of the same informant inside each of
+    its steps. The outer run reads the buffer to its horizon before its
+    first step; at every fifth step from the fifth on, the inner run reads
+    past it, so the buffer grows under the outer run's live views. The
+    outer run is still handed exactly `prefix(inf, n)`, or its content,
+    at every n."""
     inf = Informant(parse("10|1"), (9, 3, 3), "shuffled", 4)
 
     def exact(d, n):
@@ -278,10 +281,10 @@ def test_a_run_nested_in_a_step_is_handed_exact_prefixes(kind):
     def nesting(*args):
         n, inner = len(handed), []
         collect(*args)
-        # at every fifth step the inner run reads three examples ahead; in
-        # between the outer run reads on by itself
+        # at every fifth step the inner run reads to 30 + n, past the outer
+        # horizon; in between it reads no further than the outer run
         run(Learner("inner", kind, collecting(inner)), inf,
-            n + 3 if n % 5 == 0 else n)
+            30 + n if n % 5 == 0 else n)
         for m, d in enumerate(inner):
             exact(d, m)
         exact(args[0], n)

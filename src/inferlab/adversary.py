@@ -4,14 +4,16 @@ Each driver here replays one of the classic diagonalization arguments as
 an executable game: feed the opponent a staged informant, wait for it to
 commit to a conjecture, then steer the target so that keeping the
 commitment breaks a restriction.  The outcome is a `Witness` that either
-pins a concrete violation site (re-checkable through the restrictions
-module), documents an unbounded mind-change transcript, exhibits a pair
-of targets the opponent cannot tell apart, or honestly reports that the
-search bounds ran out.
+pins a concrete violation site, documents an unbounded mind-change
+transcript, exhibits a pair of targets the opponent cannot tell apart, or
+honestly reports that the search bounds ran out.  A game names only its
+site: `restrictions.verdict_at` names the site's least witness, as
+`check` does, and the verdict re-checks through `revalidate`.
 
 Failure to find a witness proves nothing; a returned violation always
 re-verifies.  Opponents may live in this process (any `Learner`) or in a
-child process speaking a one-line query protocol.
+child process speaking a one-line query protocol; `check_opponent` says
+which interaction modes each game can play.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from .evidence import (DataSet, Informant, canonical, canonical_informant,
                        content, format_sequence)
 from .hypothesis import Hypothesis
 from .interaction import EvalContext, HypSequence, Learner, run
-from .restrictions import Verdict, check, revalidate, violation
-from .upset import (NATURALS, UPSet, complement, difference, from_elements,
-                    from_mask, min_element, parse, union)
+from .restrictions import Verdict, check, revalidate, verdict_at
+from .upset import (NATURALS, UPSet, complement, from_elements, from_mask,
+                    parse, union)
 
 __all__ = [
     "ADVERSARY_IDS",
@@ -38,6 +40,7 @@ __all__ = [
     "OpponentError",
     "SubprocessOpponent",
     "Witness",
+    "check_opponent",
     "run_adversary",
     "verify_witness",
 ]
@@ -171,8 +174,9 @@ class _Game:
         return self.param(name, i)
 
     def found(self, verdict: Verdict, note: str) -> Witness:
-        # a constructed site that does not re-verify is a driver bug
-        if not revalidate(verdict, self.seq):
+        # a constructed site with no witness, or one that does not
+        # re-verify, is a driver bug
+        if verdict.satisfied or not revalidate(verdict, self.seq):
             self.exhaust("constructed violation site failed revalidation")
         return self._witness(
             "restriction-violation", note, informant=self.informant,
@@ -225,7 +229,7 @@ def _smon_vs_dual(g: _Game) -> Witness:
     g.play(union(base, from_elements({x})), x + 1 + g.bounds.t_bound)
     t = g.first(lambda ext: ext.member(x), "opponent never admitted the fresh"
                 f" element {x}; bc on the grown target", n0 + 1)
-    return g.found(violation("smon_d", g.seq, (n0, t), x),
+    return g.found(verdict_at("smon_d", g.seq, [(n0, t)]),
                    f"committed to {base} at {n0}, grew by the unseen {x} at {t}")
 
 
@@ -235,27 +239,26 @@ def _dual_vs_smon(g: _Game) -> Witness:
     g.play(language("segment", n=n0 + 1), n0 + 3 + g.bounds.t_bound)
     t = g.first(lambda ext: ext != NATURALS, "opponent clung to the naturals"
                 " on a segment target; bc there", n0 + 1)
-    element = min_element(difference(NATURALS, g.seq[t].extension))
-    return g.found(violation("smon", g.seq, (n0, t), element),
+    return g.found(verdict_at("smon", g.seq, [(n0, t)]),
                    f"guessed the naturals at {n0}, then had to shrink onto"
                    " the segment")
 
 
 _THREE_STAGE = {
-    # kind -> (tier builders, value-to-row divisor, broken restriction)
-    "mon_vs_dual": ("streamX", "streamY", "streamZ", 3, "mon_d"),
-    "dual_vs_mon": ("evenX", "evenY", "evenZ", 2, "mon"),
+    # kind -> (tier builders, broken restriction)
+    "mon_vs_dual": ("streamX", "streamY", "streamZ", "mon_d"),
+    "dual_vs_mon": ("evenX", "evenY", "evenZ", "mon"),
 }
 
 
 def _three_stage(g: _Game) -> Witness:
     """Walk the opponent through the X/Y/Z tiers of its home family."""
-    xid, yid, zid, row, rid = _THREE_STAGE[g.adversary]
-
-    def rows_shown(n: int) -> int:
-        return (g.outline(n).bit_length() - 1) // row + 1
-
+    xid, yid, zid, rid = _THREE_STAGE[g.adversary]
     base = language(xid)
+
+    def rows_shown(n: int) -> int:  # a row is as long as X's period
+        return (g.outline(n).bit_length() - 1) // len(base.period) + 1
+
     g.play(base, g.bounds.n_search)
     n_x = g.commit("n_x", base, "opponent never conjectured the base tier"
                                 f" within {g.bounds.n_search} steps")
@@ -270,10 +273,7 @@ def _three_stage(g: _Game) -> Witness:
     n_z = g.commit("n_z", top, "opponent never conjectured the third tier"
                                f" (n={n}, m={m}) within {g.horizon} steps",
                    n_y + 1)
-    # mon_vs_dual: the b past the cut, in Y_n but in neither X nor Z;
-    # dual_vs_mon: in X and in Z, but dropped by Y_n
-    element = 3 * m + 4 if g.adversary == "mon_vs_dual" else 2 * m
-    return g.found(violation(rid, g.seq, (n_x, n_y), element),
+    return g.found(verdict_at(rid, g.seq, [(n_x, n_y)]),
                    f"walked the opponent through all three tiers (n={n},"
                    f" m={m}, settling at {n_z})")
 
@@ -317,8 +317,10 @@ def _mindchange(g: _Game) -> Witness:
     ever flips the label, the two grown targets form a split pair the
     opponent answers identically.
     """
-    if g.opponent.kind != "Sd":
-        raise OpponentError("mindchange driver needs a set-driven opponent")
+    try:
+        check_opponent(g.adversary, g.opponent.kind)
+    except ValueError as exc:
+        raise OpponentError(str(exc)) from None
     ctx = EvalContext()
     rounds, t_bound = g.bounds.rounds, g.bounds.t_bound
     d = DataSet(frozenset())
@@ -353,6 +355,14 @@ _GAMES = {
 }
 
 ADVERSARY_IDS = tuple(_GAMES)
+
+
+def check_opponent(adversary_id: str, kind: str) -> None:
+    """Raise ValueError if the adversary cannot play an opponent of the
+    interaction mode `kind`: the mindchange game needs a set-driven one."""
+    if adversary_id == "mindchange" and kind != "Sd":
+        raise ValueError("mindchange needs a set-driven opponent; "
+                         f"the pipeline is {kind}")
 
 
 def run_adversary(

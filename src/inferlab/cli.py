@@ -12,12 +12,11 @@ import sys
 from pathlib import Path
 
 from .adversary import (ADVERSARY_IDS, DEFAULT_BOUNDS, Bounds, OpponentError,
-                        run_adversary)
+                        check_opponent, run_adversary)
 from .catalog import LEARNER_IDS, learner
 from .harness import (
     ConfigError,
     _adversary_row,
-    _check_opponent_mode,
     demo_scenarios,
     exit_code,
     format_adversary_row,
@@ -54,7 +53,7 @@ def _cmd_check(args) -> int:
 def _cmd_adversary(args) -> int:
     try:
         bounds = Bounds(args.n_search, args.t_bound, args.rounds)
-        _check_opponent_mode(args.id, learner(args.opponent).kind)
+        check_opponent(args.id, learner(args.opponent).kind)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from None
     witness = run_adversary(args.id, learner(args.opponent), bounds)

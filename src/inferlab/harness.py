@@ -21,6 +21,7 @@ from .adversary import (
     Bounds,
     DEFAULT_BOUNDS,
     Witness,
+    check_opponent,
     run_adversary,
     verify_witness,
 )
@@ -289,14 +290,6 @@ def _resolve_schedules(raw, cfg, errors) -> tuple[Schedule, ...]:
         errors))) or (Schedule(),)
 
 
-def _check_opponent_mode(adversary_id: str, kind: str) -> None:
-    """Raise ValueError if the adversary cannot play an opponent of the
-    interaction mode `kind`: the mindchange game needs a set-driven one."""
-    if adversary_id == "mindchange" and kind != "Sd":
-        raise ValueError("mindchange needs a set-driven opponent; "
-                         f"the pipeline is {kind}")
-
-
 def _resolve_adversaries(raw, cfg, errors) -> tuple[AdversaryRun, ...]:
     lid, comb = cfg["learner_id"], cfg["combinator_ids"]
 
@@ -306,7 +299,7 @@ def _resolve_adversaries(raw, cfg, errors) -> tuple[AdversaryRun, ...]:
             raise ValueError(_unknown("adversary", adv, ADVERSARY_IDS))
         bounds = Bounds(**{k: v for k, v in entry.items() if k != "id"})
         if None not in (lid, comb):
-            _check_opponent_mode(adv, build_pipeline(lid, comb).kind)
+            check_opponent(adv, build_pipeline(lid, comb).kind)
         return AdversaryRun(adv, bounds)
 
     return tuple(_entries(raw, "adversaries",

@@ -59,10 +59,10 @@ two families are read off it. Its condition is one site function in
 `_SITES`, which gives the witnesses of a violation at the given indices:
 `_pair_site` for the twelve pair restrictions (`_pair_bad`, behind the
 weakly monotone gate), and one function each for cons, caut_tar, bc and
-ex. `check` hands its scan's candidates to `_first_site`, which asks the
-site function of each and reports the first witness; `evaluate_site`
-calls the same function at a stored site, and `violation` turns a site
-into a violated verdict, worded from `_DETAIL`.
+ex. `check` hands its scan's candidates to `verdict_at`, which asks the
+site function of each and words a verdict from `_DETAIL` that names the
+first witness; the games hand it the one site they built, and
+`evaluate_site` calls the same function at a stored site.
 """
 
 from __future__ import annotations
@@ -291,34 +291,31 @@ def _first_site(restriction: str, seq: HypSequence, sites):
     return None
 
 
-def violation(restriction: str, seq: HypSequence, indices: tuple[int, ...],
-              element) -> Verdict:
-    """The violated verdict of a site of `seq`, worded from `_DETAIL`.
+def verdict_at(rid: str, seq: HypSequence, sites,
+               satisfied: str = "") -> Verdict:
+    """The verdict at the first of the candidate `sites` with a witness.
 
-    Only an ex site names no element: a label still changing at the
-    horizon, or a run too short to show settling.
+    A violated verdict names that site's first witness and is worded from
+    `_DETAIL`; only an ex site names no element: a label still changing
+    at the horizon, or a run too short to show settling. With no such
+    site the verdict is satisfied, its detail `satisfied`.
     """
+    site = _first_site(rid, seq, sites)
+    if site is None:
+        return Verdict(rid, True, detail=satisfied)
+    indices, element = site
     if element is None:
         detail = ("label still changing at the horizon" if len(seq) > 1
                   else "horizon too short to observe settling")
     else:
         sign = "+" if seq.informant.target.member(element) else "-"
-        detail = _DETAIL[restriction].format(
+        detail = _DETAIL[rid].format(
             s=indices[0], t=indices[-1], x=element, sign=sign)
-    return Verdict(restriction, False, indices, element, detail)
-
-
-def _verdict(rid: str, seq: HypSequence, sites,
-             satisfied: str = "") -> Verdict:
-    """The verdict at the first of the candidate `sites` with a witness."""
-    site = _first_site(rid, seq, sites)
-    if site is None:
-        return Verdict(rid, True, detail=satisfied)
-    return violation(rid, seq, *site)
+    return Verdict(rid, False, indices, element, detail)
 
 
 def check_cons(seq: HypSequence) -> Verdict:
-    return _verdict("cons", seq, ((n,) for n in range(len(seq))))
+    return verdict_at("cons", seq, ((n,) for n in range(len(seq))))
 
 
 def _chain_sites(variant: str, seq: HypSequence):
@@ -363,7 +360,7 @@ def check_monotone(variant: str, seq: HypSequence) -> Verdict:
     if variant not in _MONOTONE:
         raise ValueError(f"not a monotonicity variant: {variant!r}")
     scan = _gated_sites if variant.startswith("wmon") else _chain_sites
-    return _verdict(variant, seq, scan(variant, seq))
+    return verdict_at(variant, seq, scan(variant, seq))
 
 
 def _caut_sites(variant: str, seq: HypSequence):
@@ -393,7 +390,7 @@ def check_cautious(variant: str, seq: HypSequence) -> Verdict:
         raise ValueError(f"not a caution variant: {variant!r}")
     sites = (((t,) for t in range(len(seq))) if variant == "caut_tar"
              else _caut_sites(variant, seq))
-    return _verdict(variant, seq, sites)
+    return verdict_at(variant, seq, sites)
 
 
 def check_bc(seq: HypSequence) -> Verdict:
@@ -401,7 +398,7 @@ def check_bc(seq: HypSequence) -> Verdict:
     target = seq.informant.target
     start = next((n + 1 for n in range(h, -1, -1)
                   if seq[n].extension != target), 0)
-    return _verdict("bc", seq, [(h,)], f"correct from {start}")
+    return verdict_at("bc", seq, [(h,)], f"correct from {start}")
 
 
 def check_ex(seq: HypSequence) -> Verdict:
@@ -415,7 +412,7 @@ def check_ex(seq: HypSequence) -> Verdict:
     settled = next((t for t in range(h, 0, -1)
                     if seq[t].label != seq[t - 1].label), 0)
     sites = [(h - 1, h) if h else (0,)] + [(n,) for n in range(settled, h + 1)]
-    return _verdict("ex", seq, sites, f"settled at {settled}")
+    return verdict_at("ex", seq, sites, f"settled at {settled}")
 
 
 def check(restriction: str, seq: HypSequence) -> Verdict:

@@ -1,6 +1,7 @@
 """Separation games: staged informants, mind changes, external opponents."""
 
 import dataclasses
+import json
 import sys
 import threading
 import time
@@ -15,12 +16,19 @@ from inferlab.adversary import (
     OpponentError,
     SubprocessOpponent,
     Witness,
+    check_opponent,
     run_adversary,
     verify_witness,
 )
-from inferlab.catalog import constant_learner, language, learner
+from inferlab.catalog import LEARNER_IDS, constant_learner, language, learner
+from inferlab.cli import main
 from inferlab.evidence import DataSet
-from inferlab.upset import from_elements, parse
+from inferlab.harness import ConfigError, validate_config
+from inferlab.hypothesis import hypothesis_for
+from inferlab.interaction import Learner, run
+from inferlab.restrictions import evaluate_site
+from inferlab.upset import EMPTY, from_elements, parse
+from test_golden_games import BOUNDS as GOLDEN_BOUNDS
 
 
 def test_bounds_validation():
@@ -173,6 +181,51 @@ def test_mindchange_split_pair_on_constant():
 def test_mindchange_requires_set_driven():
     with pytest.raises(OpponentError):
         run_adversary("mindchange", learner("segment"))
+
+
+_WRONG_MODE = "mindchange needs a set-driven opponent; the pipeline is {}"
+
+
+def test_wrong_mode_mindchange_opponent_gets_one_message(capsys):
+    """Config validation, the CLI and the game refuse it in the same words."""
+    message = _WRONG_MODE.format("G")
+    with pytest.raises(ConfigError) as info:
+        validate_config(json.dumps({"learner": "segment", "horizon": 10,
+                                    "adversaries": [{"id": "mindchange"}]}))
+    assert info.value.errors == [f"adversaries[0]: {message}"]
+    assert main(["adversary", "mindchange", "--opponent", "segment"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    empty = hypothesis_for(EMPTY)
+    for opponent in (learner("segment"),
+                     Learner("psd", "Psd", lambda d, n, ctx: empty),
+                     Learner("it", "It", lambda h, ex, ctx: h)):
+        with pytest.raises(OpponentError) as info:
+            run_adversary("mindchange", opponent)
+        assert str(info.value) == _WRONG_MODE.format(opponent.kind)
+
+
+@pytest.mark.parametrize("bounds", GOLDEN_BOUNDS)
+def test_game_verdicts_name_their_sites_least_witness(bounds):
+    """Every violation a game finds against a catalog opponent names the
+    least witness of its site: no smaller natural witnesses that site."""
+    violated = set()
+    for lid in LEARNER_IDS:
+        for aid in ADVERSARY_IDS:
+            opponent = learner(lid)
+            try:
+                check_opponent(aid, opponent.kind)
+            except ValueError:
+                continue
+            w = run_adversary(aid, opponent, bounds)
+            if w.kind != "restriction-violation":
+                continue
+            violated.add(aid)
+            v = w.verdict
+            seq = run(opponent, w.informant, w.horizon)
+            assert evaluate_site(v.restriction, seq, v.indices, v.element)
+            assert not any(evaluate_site(v.restriction, seq, v.indices, x)
+                           for x in range(v.element)), (aid, lid)
+    assert violated == set(ADVERSARY_IDS) - {"mindchange"}
 
 
 def test_tampered_witnesses_fail_verification():

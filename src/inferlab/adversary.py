@@ -471,7 +471,9 @@ class SubprocessOpponent:
         if line is None:
             raise OpponentError("opponent closed its output")
         parts = line.strip().split(maxsplit=2)
-        if len(parts) != 3 or parts[0] != "H":
+        # the label in ASCII decimal digits, as `parse_sequence` reads values
+        if (len(parts) != 3 or parts[0] != "H"
+                or not (parts[1].isascii() and parts[1].isdigit())):
             raise OpponentError(f"malformed reply {line.strip()!r}")
         try:
             return Hypothesis(int(parts[1]), parse(parts[2]))

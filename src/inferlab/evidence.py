@@ -232,8 +232,9 @@ class Informant:
 
     The finite head is shown verbatim; afterwards values are enumerated
     either in canonical order, in canonical order skipping values the head
-    already covered (fresh), or block-shuffled by the seed. Every natural
-    occurs at some index regardless of the order.
+    already covered (fresh), or block-shuffled by the seed, an int (not
+    a bool) in every order. Every natural occurs at some index regardless
+    of the order.
 
     A head entry is a bare natural, which the target labels, or a
     (value, label) pair that must agree with the target.
@@ -265,6 +266,8 @@ class Informant:
                 )
         if self.order not in ORDERS:
             raise ValueError(f"unknown order {self.order!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "_gaps", tuple(
             v - i for i, v in enumerate(sorted({ex.value for ex in head}))))

@@ -23,7 +23,7 @@ from typing import Callable
 
 from .evidence import EvidenceIndex, Informant, _read, content, prefixes
 from .hypothesis import Hypothesis, hypothesis_for
-from .upset import EMPTY
+from .upset import EMPTY, NATURALS
 
 KINDS = ("G", "Psd", "Sd", "It")
 
@@ -107,7 +107,7 @@ def run(
     the masks, which are as wide as the largest value shown; what the
     learner does comes on top.
     """
-    if horizon < 0:
+    if horizon not in NATURALS:
         raise ValueError("horizon must be a natural")
     if ctx is None:
         ctx = EvalContext()

@@ -136,7 +136,8 @@ def parse(text: str) -> UPSet:
 
 
 def bounded_elements(u: UPSet, bound: int) -> tuple[int, ...]:
-    """All members x <= bound, increasing."""
+    """All members x <= bound, increasing. The width bound + 1 is a
+    natural, so a bound of -1 has no members and one below it is refused."""
     return tuple(mask_elements(to_mask(u, bound + 1)))
 
 
@@ -173,12 +174,16 @@ def from_mask(m: int) -> UPSet:
 def to_mask(u: UPSet, width: int) -> int:
     """The members of u below `width` as an int mask, bit x for x; the
     inverse of `from_mask` on a finite set whose members lie below it."""
+    if width < 0:
+        raise ValueError("naturals only")
     return int(_expand(u, width)[::-1], 2) if width else 0
 
 
 def mask_elements(m: int) -> list[int]:
     """The set bits of m, increasing: the elements of `from_mask(m)`, read
     off its bit string in time linear in its width."""
+    if m < 0:
+        raise ValueError("naturals only")
     return [x for x, bit in enumerate(format(m, "b")[::-1]) if bit == "1"]
 
 

@@ -357,6 +357,10 @@ def test_subprocess_opponent_malformed_reply():
 @pytest.mark.parametrize("reply,message", [
     (b"H 1 \xff|1\n", "malformed reply"),  # not UTF-8
     (b"H 1 2|x\n", "malformed reply"),  # no extension
+    (b"H +5 |1\n", "malformed reply"),  # labels are ASCII decimal digits
+    (b"H 5_0 |1\n", "malformed reply"),
+    ("H \u0665 |1\n".encode(), "malformed reply"),
+    (b"H -0 |1\n", "malformed reply"),
     (b"", "opponent closed its output"),
 ])
 def test_subprocess_opponent_bad_reply_fails_at_once(

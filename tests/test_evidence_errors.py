@@ -118,6 +118,15 @@ ROWS = [
     ("head-before-order",
      lambda: Informant(NATURALS, ((4, 0),), "sorted"),
      "head example Example(value=4, label=0) contradicts target |1"),
+    # the seed is an int in every order, and a bool is not one
+    ("seed-bool", lambda: Informant(NATURALS, (), "shuffled", True),
+     "seed must be an int, got True"),
+    ("seed-float", lambda: Informant(NATURALS, (), "shuffled", 2.5),
+     "seed must be an int, got 2.5"),
+    ("seed-bool-canonical", lambda: Informant(NATURALS, seed=False),
+     "seed must be an int, got False"),
+    ("order-before-seed", lambda: Informant(NATURALS, (), "sorted", 2.5),
+     "unknown order 'sorted'"),
     # parse_sequence: every chunk's syntax first, then the evidence checks
     ("parse-bad-sign", lambda: parse_sequence("1:*"),
      "malformed example '1:*'"),
@@ -158,6 +167,14 @@ for _kind in KINDS:
          _run(_kind, (3, 2), Example(4, 1), Example(4, 0)),
          "label must be 0 or 1, got 2"),
     ]
+
+
+# run: the horizon is a natural, and a bool or a float is not one
+for _name, _horizon in (("bool", True), ("float", 2.0), ("negative", -1),
+                        ("string", "3")):
+    ROWS.append((f"run-horizon-{_name}", lambda h=_horizon: run(
+        Learner("g", "G", lambda d, ctx: hypothesis_for(EMPTY)),
+        Informant(NATURALS), h), "horizon must be a natural"))
 
 
 @pytest.mark.parametrize("thunk, message", [row[1:] for row in ROWS],

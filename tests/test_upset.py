@@ -19,9 +19,11 @@ from inferlab.upset import (
     from_mask,
     intersection,
     is_subset,
+    mask_elements,
     min_element,
     parse,
     relate,
+    to_mask,
     union,
 )
 from oracles import (
@@ -275,3 +277,26 @@ def test_complement_is_canonical_as_it_stands(u):
     assert (again.prefix, again.period) == (c.prefix, c.period)
     n = len(u.prefix) + len(u.period) + 2
     assert all(c.member(x) != u.member(x) for x in range(n))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: to_mask(parse("111|0"), -1),
+    lambda: bounded_elements(parse("111|0"), -2),
+    lambda: bounded_elements(NATURALS, -5),
+    lambda: mask_elements(-5),
+    lambda: mask_elements(-1),
+], ids=["to_mask", "bounded_elements", "bounded_elements_naturals",
+        "mask_elements", "mask_elements_minus_one"])
+def test_a_negative_width_is_refused_not_sliced(call):
+    """A width is a natural: a negative one is not read as a slice from
+    the end of the bit string."""
+    with pytest.raises(ValueError, match="^naturals only$"):
+        call()
+
+
+def test_zero_widths_are_empty():
+    u = parse("111|0")
+    assert to_mask(u, 0) == 0
+    assert mask_elements(0) == []
+    assert bounded_elements(u, -1) == ()
+    assert bounded_elements(u, 0) == (0,)

@@ -292,11 +292,3 @@ def test_a_negative_width_is_refused_not_sliced(call):
     the end of the bit string."""
     with pytest.raises(ValueError, match="^naturals only$"):
         call()
-
-
-def test_zero_widths_are_empty():
-    u = parse("111|0")
-    assert to_mask(u, 0) == 0
-    assert mask_elements(0) == []
-    assert bounded_elements(u, -1) == ()
-    assert bounded_elements(u, 0) == (0,)

@@ -27,6 +27,13 @@ from .harness import (
 from .upset import combine, complement, parse, relate
 
 
+def natural(text: str) -> int:
+    """A natural in ASCII digits only: `int` also takes signs, `_`, spaces."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"a natural in decimal digits, got {text!r}")
+    return int(text)
+
+
 def _cmd_check(args) -> int:
     try:
         text = Path(args.config).read_text()
@@ -78,10 +85,11 @@ def _cmd_algebra(args) -> int:
         elif args.op == "complement":
             print(complement(parse(ops[0])))
         elif args.op == "member":
-            if not (ops[1].isascii() and ops[1].isdigit()):
-                raise ValueError("member takes a natural in decimal digits,"
-                                 f" got {ops[1]!r}")
-            print("yes" if parse(ops[0]).member(int(ops[1])) else "no")
+            try:
+                x = natural(ops[1])
+            except ValueError as exc:
+                raise ValueError(f"member takes {exc}") from None
+            print("yes" if parse(ops[0]).member(x) else "no")
         else:
             print(combine(args.op, parse(ops[0]), parse(ops[1])))
     except ValueError as exc:
@@ -118,9 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
     adv = sub.add_parser("adversary", help="run one separation game")
     adv.add_argument("id", choices=ADVERSARY_IDS)
     adv.add_argument("--opponent", required=True, choices=LEARNER_IDS)
-    adv.add_argument("--n-search", type=int, default=DEFAULT_BOUNDS.n_search)
-    adv.add_argument("--t-bound", type=int, default=DEFAULT_BOUNDS.t_bound)
-    adv.add_argument("--rounds", type=int, default=DEFAULT_BOUNDS.rounds)
+    for bound in ("n_search", "t_bound", "rounds"):
+        adv.add_argument("--" + bound.replace("_", "-"), type=natural,
+                         default=getattr(DEFAULT_BOUNDS, bound))
     adv.add_argument("--expect", choices=("witness", "exhausted"),
                      default="witness")
     adv.set_defaults(func=_cmd_adversary)

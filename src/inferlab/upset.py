@@ -2,18 +2,18 @@
 
 A set is described by a finite prefix bit string P and a nonempty period bit
 string Q: membership of x is P[x] for x < |P| and Q[(x - |P|) mod |Q|]
-otherwise. Every such set has a unique canonical form (shortest period,
-then shortest prefix); all constructors normalize, so two UPSet values
-denote the same subset iff they are equal.
+otherwise. A set holds its canonical form (shortest period, then shortest
+prefix) as four ints, (P's bits, |P|, Q's bits, |Q|) with bit i for position
+i, and is interned: a weak table maps each form to its one live set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable
+from weakref import KeyedRef
 
 
 class Relation(Enum):
@@ -23,77 +23,46 @@ class Relation(Enum):
     INCOMPARABLE = "incomparable"
 
 
-_BITS = frozenset("01")
+def _repunit(d: int, k: int) -> int:
+    """The multiplier that repeats a d-bit block k times."""
+    return ((1 << d * k) - 1) // ((1 << d) - 1)
 
 
-def _minimal_period(q: str) -> str:
-    # The period lengths of a purely periodic infinite word are closed under
-    # gcd, so the minimal one divides |q|; scan divisors in increasing order.
-    n = len(q)
-    for d in range(1, n):
-        if n % d == 0 and q == q[:d] * (n // d):
-            return q[:d]
-    return q
-
-
-def _periodic_tail(p: str, q: str) -> int:
-    """Length of the longest suffix of p that the period q continues.
-
-    The period extended backwards from the end of p reads ...q q; the
-    suffix lengths that match it are exactly 0..k, so k is the number of
-    trailing zero bits of p xor that backward extension.
-    """
-    if not p:
-        return 0
-    back = (q * (len(p) // len(q) + 1))[-len(p):]
-    diff = int(p, 2) ^ int(back, 2)
-    return (diff & -diff).bit_length() - 1 if diff else len(p)
-
-
-def _expand(u: UPSet, length: int) -> str:
-    """Membership bits of 0..length-1, element 0 first."""
-    p, q = u.prefix, u.period
-    return (p + q * ((length - len(p)) // len(q) + 1))[:length]
-
-
-@dataclass(frozen=True, slots=True)
 class UPSet:
-    """Canonical ultimately periodic subset of the naturals.
+    """Canonical ultimately periodic subset of the naturals, interned, so
+    shared and immutable. Its hash, that of its four ints, is stored once
+    and does not depend on PYTHONHASHSEED."""
 
-    Slotted: the operation caches keep thousands of sets alive, and a set
-    without an instance dict takes about 40 bytes less.
-    """
+    __slots__ = ("_key", "_hash", "_str", "__weakref__")
 
-    prefix: str
-    period: str
-
-    def __post_init__(self):
-        if not isinstance(self.prefix, str) or not isinstance(self.period, str):
+    def __new__(cls, prefix: str, period: str) -> UPSet:
+        if not isinstance(prefix, str) or not isinstance(period, str):
             raise ValueError("prefix and period must be bit strings")
-        if not self.period:
+        if not period:
             raise ValueError("period must be nonempty")
-        if not (set(self.prefix) <= _BITS and set(self.period) <= _BITS):
-            raise ValueError(
-                f"bit strings over 0/1 expected, got {self.prefix!r}|{self.period!r}"
-            )
-        p, q = self.prefix, _minimal_period(self.period)
-        # Dropping the last prefix bit is sound iff it matches the bit the
-        # period would produce there, i.e. the period's last bit once the
-        # period is rotated right. So the whole matching tail goes at once,
-        # and the period rotates right by its length, which keeps the
-        # minimal period length.
-        k = _periodic_tail(p, q)
-        r = len(q) - k % len(q)
-        p, q = p[:len(p) - k], q[r:] + q[:r]
-        object.__setattr__(self, "prefix", p)
-        object.__setattr__(self, "period", q)
+        if not set(prefix + period) <= {"0", "1"}:
+            raise ValueError("bit strings over 0/1 expected, got "
+                             f"{prefix!r}|{period!r}")
+        return _normalize(int(prefix[::-1] or "0", 2), len(prefix),
+                          int(period[::-1], 2), len(period))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"UPSet is immutable; cannot set {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return UPSet, (self.prefix, self.period)
+
+    prefix = property(lambda self: str(self).partition("|")[0])
+    period = property(lambda self: str(self).partition("|")[2])
 
     def member(self, x: int) -> bool:
         if x < 0:
             raise ValueError("naturals only")
-        if x < len(self.prefix):
-            return self.prefix[x] == "1"
-        return self.period[(x - len(self.prefix)) % len(self.period)] == "1"
+        p, np, q, nq = self._key
+        return (p >> x if x < np else q >> (x - np) % nq) & 1 == 1
 
     def __contains__(self, x) -> bool:
         """Like `member`, but anything not a natural int (bools are not) is
@@ -103,22 +72,63 @@ class UPSet:
         return self.member(x)
 
     def is_finite(self) -> bool:
-        return "1" not in self.period
+        return self._key[2] == 0
 
     def __str__(self) -> str:
-        return f"{self.prefix}|{self.period}"
+        try:  # kept once made: catalog learners label short-lived sets by it
+            return self._str
+        except AttributeError:
+            p, np, q, nq = self._key  # bit 0 first; no prefix when np is 0
+            _set_str(self, f"{p:0{np}b}"[::-1][:np] + "|" + f"{q:0{nq}b}"[::-1])
+            return self._str
 
     def __repr__(self) -> str:
         return f"UPSet({str(self)!r})"
 
 
-def _canonical(prefix: str, period: str) -> UPSet:
-    """The set P|Q for bit strings already in canonical form, made without
-    normalizing them again."""
-    u = object.__new__(UPSet)
-    object.__setattr__(u, "prefix", prefix)
-    object.__setattr__(u, "period", period)
+_new, _set_key = object.__new__, UPSet._key.__set__
+_set_hash, _set_str = UPSet._hash.__set__, UPSet._str.__set__
+_LIVE: dict[tuple[int, int, int, int], KeyedRef] = {}  # canonical ints -> set
+
+
+def _forget(ref: KeyedRef, live=_LIVE) -> None:
+    """Drop a freed set's entry, unless a new set holds it already."""
+    if live.get(ref.key) is ref:
+        del live[ref.key]
+
+
+def _canonical(p: int, np: int, q: int, nq: int) -> UPSet:
+    """The interned set for ints already in canonical form."""
+    key = (p, np, q, nq)
+    ref = _LIVE.get(key)
+    u = ref and ref()
+    if u is None:
+        u = _new(UPSet)
+        _set_key(u, key)
+        _set_hash(u, hash(key))
+        _LIVE[key] = KeyedRef(u, _forget, key)
     return u
+
+
+def _normalize(p: int, np: int, q: int, nq: int) -> UPSet:
+    """The interned set for any prefix and period bits."""
+    # The period lengths of a purely periodic infinite word are closed under
+    # gcd, so the minimal one divides nq; scan divisors in increasing order.
+    for d in range(1, nq):
+        if nq % d == 0 and (q & ((1 << d) - 1)) * _repunit(d, nq // d) == q:
+            q, nq = q & ((1 << d) - 1), d
+            break
+    # The period extended backwards from the prefix's end matches the
+    # prefix above their highest differing bit: that whole tail goes, and
+    # the period rotates left as far, to start where the prefix now ends.
+    shift = -np % nq
+    back = q * _repunit(nq, (np + shift) // nq) >> shift
+    k = np - (p ^ back).bit_length()
+    if k:
+        np, r = np - k, k % nq
+        p &= (1 << np) - 1
+        q = (q << r | q >> (nq - r)) & ((1 << nq) - 1)
+    return _canonical(p, np, q, nq)
 
 
 EMPTY = UPSet("", "0")
@@ -143,11 +153,10 @@ def bounded_elements(u: UPSet, bound: int) -> tuple[int, ...]:
 
 def min_element(u: UPSet) -> int | None:
     """Smallest member, or None for the empty set."""
-    x = u.prefix.find("1")
-    if x >= 0:
-        return x
-    x = u.period.find("1")
-    return len(u.prefix) + x if x >= 0 else None
+    p, np, q, _ = u._key
+    if p:
+        return (p & -p).bit_length() - 1
+    return np + (q & -q).bit_length() - 1 if q else None
 
 
 def from_elements(xs: Iterable[int]) -> UPSet:
@@ -168,15 +177,19 @@ def from_mask(m: int) -> UPSet:
     """
     if m < 0:
         raise ValueError("naturals only")
-    return _canonical(format(m, "b")[::-1], "0") if m else EMPTY
+    return _canonical(m, m.bit_length(), 0, 1) if m else EMPTY
 
 
 def to_mask(u: UPSet, width: int) -> int:
     """The members of u below `width` as an int mask, bit x for x; the
-    inverse of `from_mask` on a finite set whose members lie below it."""
+    inverse of `from_mask` on a finite set whose members lie below it.
+    A repunit product repeats the period, so no string is built."""
     if width < 0:
         raise ValueError("naturals only")
-    return int(_expand(u, width)[::-1], 2) if width else 0
+    p, np, q, nq = u._key
+    if width > np and q:
+        p |= q * _repunit(nq, (width - np + nq - 1) // nq) << np
+    return p & ((1 << width) - 1)
 
 
 def mask_elements(m: int) -> list[int]:
@@ -188,15 +201,11 @@ def mask_elements(m: int) -> list[int]:
 
 
 def _masks(a: UPSet, b: UPSet) -> tuple[int, int, int, int]:
-    """Both sets as int bit masks over one common cycle.
-
-    Returns (n, length, mask of a, mask of b): bits cover 0..length-1 with
-    element 0 as the most significant bit, n is the longer prefix, and
-    length - n is the lcm of the periods.
-    """
-    n = max(len(a.prefix), len(b.prefix))
-    length = n + math.lcm(len(a.period), len(b.period))
-    return n, length, int(_expand(a, length), 2), int(_expand(b, length), 2)
+    """(n, length, mask of a, mask of b) over one common cycle, 0..length-1:
+    n is the longer prefix, and length - n the lcm of the periods."""
+    n = max(a._key[1], b._key[1])
+    length = n + math.lcm(a._key[3], b._key[3])
+    return n, length, to_mask(a, length), to_mask(b, length)
 
 
 # Entries each operation cache below keeps: above what one pass of any
@@ -229,8 +238,8 @@ def is_subset(a: UPSet, b: UPSet) -> bool:
 
 def _pointwise(a: UPSet, b: UPSet, op) -> UPSet:
     n, length, ma, mb = _masks(a, b)
-    bits = format(op(ma, mb), f"0{length}b")
-    return UPSet(bits[:n], bits[n:])
+    bits = op(ma, mb)
+    return _normalize(bits & ((1 << n) - 1), n, bits >> n, length - n)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -253,8 +262,8 @@ def complement(a: UPSet) -> UPSet:
     """Every bit flipped. Flipping keeps a period minimal and keeps the
     last prefix bit apart from the period, so the result is canonical as
     it stands."""
-    flip = str.maketrans("01", "10")
-    return _canonical(a.prefix.translate(flip), a.period.translate(flip))
+    p, np, q, nq = a._key
+    return _canonical(p ^ ((1 << np) - 1), np, q ^ ((1 << nq) - 1), nq)
 
 
 _COMBINE_OPS = {"union": union, "intersection": intersection, "difference": difference}

@@ -13,7 +13,7 @@ from inferlab.catalog import learner as catalog_learner
 from inferlab.evidence import Informant
 from inferlab.interaction import run
 from inferlab.restrictions import check, check_all
-from inferlab.upset import NATURALS, parse
+from inferlab.upset import NATURALS, from_mask, parse, union
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
@@ -58,3 +58,22 @@ def test_a_value_far_past_the_horizon_costs_only_its_masks():
     assert verdicts["cons"].indices == (1,)
     assert verdicts["cons"].element == 10**6
     assert peak < 16 * 2**20
+
+
+def test_dropped_sets_leave_the_intern_table():
+    """The intern table holds its sets weakly: once 10,000 distinct finite
+    sets and the operation caches' entries on them are dropped, it is back
+    to its size before."""
+    caches = [getattr(upset, name) for name in _cached_upset_names()]
+    for fn in caches:
+        fn.cache_clear()
+    gc.collect()
+    before = len(upset._LIVE)
+    sets = [from_mask(m) for m in range(1 << 20, (1 << 20) + 10_000)]
+    unions = [union(a, b) for a, b in zip(sets[:100], sets[100:200])]
+    assert len(upset._LIVE) >= before + 10_000
+    del sets, unions
+    for fn in caches:
+        fn.cache_clear()
+    gc.collect()
+    assert len(upset._LIVE) == before

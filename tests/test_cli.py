@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from inferlab.cli import main
 from inferlab.harness import parse_report
 
 _BASE = {
@@ -147,6 +148,24 @@ def test_adversary_command_exit_codes():
 
     unknown = run_cli("adversary", "sideways", "--opponent", "cofinite")
     assert unknown.returncode == 2
+
+
+@pytest.mark.parametrize("flag", ["--n-search", "--t-bound", "--rounds"])
+def test_adversary_bounds_are_ascii_decimal_digits(flag, capsys):
+    """The game's bounds follow the rule `algebra member` applies: ASCII
+    decimal digits, so a sign, a space, an underscore or another script's
+    digits exit 2 with argparse's message and no traceback."""
+    game = ["adversary", "caut_tar", "--opponent", "cofinite", flag]
+    assert main([*game, "10"]) == 0
+    capsys.readouterr()
+    for text in (" 10", "+10", "1_0", "\u0661\u0660"):
+        with pytest.raises(SystemExit) as exit_:
+            main([*game, text])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument {flag}: invalid natural"
+                            f" value: {text!r}\n")
+        assert "Traceback" not in err
 
 
 def test_adversary_refuses_a_wrong_mode_opponent():

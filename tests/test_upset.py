@@ -1,6 +1,13 @@
 """Canonical forms and exact set algebra for ultimately periodic sets."""
 
+import copy
+import math
+import operator
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +41,8 @@ from oracles import (
     raw_member,
     raw_relation,
 )
+
+FLIP = str.maketrans("01", "10")
 
 bits = st.text(alphabet="01", max_size=8)
 periods = st.text(alphabet="01", min_size=1, max_size=6)
@@ -292,3 +301,100 @@ def test_a_negative_width_is_refused_not_sliced(call):
     the end of the bit string."""
     with pytest.raises(ValueError, match="^naturals only$"):
         call()
+
+
+def test_every_small_description_against_the_raw_oracle():
+    """Small scope: every raw description with prefix and period of at most
+    three bits, alone and in all ordered pairs, against the raw rule. Each
+    result is the one interned set of its canonical form, found by
+    `raw_canonical` from a raw description of the expected set."""
+    descs = list(all_descriptions(3, 3))
+    assert len(descs) == 210
+    top = 3 + 2 * math.lcm(2, 3)  # raw_bound of any two of them
+    sets = [UPSet(p, q) for p, q in descs]
+    elems = [raw_elements(p, q, top) for p, q in descs]
+    members = [[raw_member(p, q, x) for x in range(top + 1)]
+               for p, q in descs]
+    everything = set(range(top + 1))
+    read, interned = {}, {}  # results read back, expected sets by description
+
+    def elements(u):
+        if u not in read:
+            read[u] = raw_elements(u.prefix, u.period, top)
+        return read[u]
+
+    def expected(p, q):
+        if (p, q) not in interned:
+            interned[p, q] = UPSet(*raw_canonical(p, q))
+        return interned[p, q]
+
+    for (p, q), u, e in zip(descs, sets, elems):
+        assert u is expected(p, q)
+        assert (u.prefix, u.period) == raw_canonical(p, q)
+        assert parse(str(u)) is u
+        c = complement(u)
+        assert c is expected(p.translate(FLIP), q.translate(FLIP))
+        assert elements(c) == everything - e
+        assert min_element(u) == min(e, default=None)
+        assert all(u.member(x) == (x in e) for x in range(top + 1))
+        for width in (0, 1, 2, 5, top + 1):
+            assert to_mask(u, width) == sum(1 << x for x in e if x < width)
+    ops = ((union, operator.or_, lambda x, y: x or y),
+           (intersection, operator.and_, lambda x, y: x and y),
+           (difference, operator.sub, lambda x, y: x and not y))
+    for (pa, qa), a, ea, ba in zip(descs, sets, elems, members):
+        for (pb, qb), b, eb, bb in zip(descs, sets, elems, members):
+            assert relate(a, b).value == raw_relation(pa, qa, pb, qb)
+            n = max(len(pa), len(pb))
+            length = n + math.lcm(len(qa), len(qb))
+            for op, on_sets, on_bits in ops:
+                got = op(a, b)
+                assert elements(got) == on_sets(ea, eb)
+                raw = "".join("1" if on_bits(ba[x], bb[x]) else "0"
+                              for x in range(length))
+                assert got is expected(raw[:n], raw[n:])
+
+
+def test_equal_sets_are_one_object():
+    """Sets are interned: every constructor and every operation returns
+    the one live set of its canonical form, so `==` is identity."""
+    assert UPSet("", "10") is UPSet("1010", "1010")
+    assert parse("01|01") is UPSet("", "01")
+    assert from_elements({0, 2}) is from_mask(5) is parse("101|0")
+    assert union(parse("|10"), parse("|01")) is NATURALS
+    assert complement(NATURALS) is EMPTY
+    assert intersection(parse("|100"), parse("|10")) is parse("|100000")
+    assert difference(NATURALS, from_elements({1})) is parse("10|1")
+    assert "__eq__" not in vars(UPSet)
+
+
+@pytest.mark.parametrize("clone", [
+    lambda u: pickle.loads(pickle.dumps(u)),
+    lambda u: pickle.loads(pickle.dumps(u, protocol=0)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "pickle_protocol_0", "copy", "deepcopy"])
+def test_copies_are_the_interned_set(clone):
+    for text in ("|0", "|1", "110|01", "101|0"):
+        u = parse(text)
+        assert clone(u) is u
+        assert clone([u])[0] is u
+
+
+def test_a_set_is_immutable():
+    """An interned set is shared, so no attribute can be assigned, the
+    private ones included."""
+    u = parse("110|01")
+    for name in ("prefix", "period", "label", *UPSet.__slots__):
+        with pytest.raises(AttributeError):
+            setattr(u, name, "1")
+    assert str(u) == "110|01" and u is parse("110|01")
+
+
+def test_the_hash_does_not_depend_on_the_hash_seed():
+    code = "from inferlab.upset import parse; print(hash(parse('0|10')))"
+    hashes = {subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=60,
+                             env=dict(os.environ, PYTHONHASHSEED=seed)).stdout
+              for seed in ("0", "1")}
+    assert len(hashes) == 1 and hashes != {""}

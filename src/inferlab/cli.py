@@ -16,7 +16,7 @@ from .adversary import (ADVERSARY_IDS, DEFAULT_BOUNDS, Bounds, OpponentError,
 from .catalog import LEARNER_IDS, learner
 from .harness import (
     ConfigError,
-    _adversary_row,
+    adversary_row,
     demo_scenarios,
     exit_code,
     format_adversary_row,
@@ -64,7 +64,7 @@ def _cmd_adversary(args) -> int:
     except ValueError as exc:
         raise ConfigError([str(exc)]) from None
     witness = run_adversary(args.id, learner(args.opponent), bounds)
-    row = _adversary_row(witness)
+    row = adversary_row(witness)
     print(format_adversary_row(row))
     found = witness.kind != "exhausted"
     if found and not row.verified:

@@ -238,7 +238,7 @@ class Informant:
 
     A head entry is a bare natural, which the target labels, or a
     (value, label) pair that must agree with the target.
-    Runs, checks and games read it through its buffer (`_read`), so
+    Runs, checks and games read it through its one `buffer`, so
     each index is read once whatever reads it.
     """
 
@@ -311,7 +311,7 @@ class EvidenceIndex:
         self.positives, self.negatives = [0], [0]
 
 
-def _read(informant, n: int) -> tuple[list[Example], EvidenceIndex]:
+def buffer(informant, n: int) -> tuple[list[Example], EvidenceIndex]:
     """The informant's buffer, read on to hold at least n examples: the
     examples shown, each validated once and checked before it is kept,
     and their evidence index. It lives in the instance dict, unseen by
@@ -358,10 +358,10 @@ def prefixes(
 ) -> Iterator[tuple[DataSequence, DataSet]]:
     """Yield `(prefix(informant, n), content(prefix(informant, n)))`, n = 0..horizon.
 
-    The buffer is read on to `horizon` first (`_read`). Each is then an
+    The informant's `buffer` is read on to `horizon` first. Each is then an
     O(1) view (see `_view`) of it, and a content is made anew only at a
     new example. A pass is linear in `horizon`, up to the masks."""
-    examples, index = _read(informant, horizon)
+    examples, index = buffer(informant, horizon)
     ps, ns = index.positives, index.negatives
     masks = None
     for n in range(horizon + 1):

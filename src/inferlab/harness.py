@@ -55,6 +55,7 @@ __all__ = [
     "Report",
     "Schedule",
     "Target",
+    "adversary_row",
     "build_pipeline",
     "demo_scenarios",
     "exit_code",
@@ -411,7 +412,8 @@ class Report:
     fingerprint: Fingerprint = Fingerprint(__version__)
 
 
-def _adversary_row(w: Witness) -> AdversaryRow:
+def adversary_row(w: Witness) -> AdversaryRow:
+    """A game's witness as its report row, verified again."""
     v = w.verdict
     return AdversaryRow(
         adversary=w.adversary,
@@ -462,7 +464,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                              RESTRICTION_IDS.index(r.restriction)))
 
     adversaries = tuple(
-        _adversary_row(run_adversary(arun.adversary, pipe, arun.bounds))
+        adversary_row(run_adversary(arun.adversary, pipe, arun.bounds))
         for arun in cfg.adversaries
     )
     fingerprint = Fingerprint(

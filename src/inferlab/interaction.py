@@ -10,7 +10,7 @@ the learner gets to see at step n of an informant presentation:
 
 Iterative runs start from a designated empty-extension hypothesis, so the
 hypothesis stream is total from step 0 in every mode. Every mode reads the
-informant through its one buffer (`evidence._read`), so every mode refuses
+informant through its one buffer (`evidence.buffer`), so every mode refuses
 the same bad informants. `_handed` alone says what a G, Psd or Sd learner
 is handed; every mode passes the context last.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from .evidence import EvidenceIndex, Informant, _read, content, prefixes
+from .evidence import EvidenceIndex, Informant, buffer, content, prefixes
 from .hypothesis import Hypothesis, hypothesis_for
 from .upset import EMPTY, NATURALS
 
@@ -68,7 +68,7 @@ class HypSequence:
     @cached_property
     def index(self) -> EvidenceIndex:
         """The informant's evidence index, read to this sequence's length."""
-        return _read(self.informant, len(self) - 1)[1]
+        return buffer(self.informant, len(self) - 1)[1]
 
     def __len__(self) -> int:
         return len(self.items)
@@ -98,7 +98,7 @@ def run(
 ) -> HypSequence:
     """Evaluate the learner on prefixes 0..horizon of the informant.
 
-    The informant's buffer (`evidence._read`) is read to `horizon` before
+    The informant's buffer (`evidence.buffer`) is read to `horizon` before
     the learner's first step. It reads each example once, whatever reads
     the informant, and keeps each prefix's masks for the judging. A G,
     Psd or Sd learner is handed O(1) views of it (`evidence.prefixes`),
@@ -114,7 +114,7 @@ def run(
     kind, fn = learner.kind, learner.fn
     if kind == "It":
         items = [INITIAL_HYPOTHESIS]
-        for ex in _read(informant, horizon)[0][:horizon]:
+        for ex in buffer(informant, horizon)[0][:horizon]:
             items.append(fn(items[-1], ex, ctx))
     else:
         items = [fn(*_handed(kind, d, dset), ctx)

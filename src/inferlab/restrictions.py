@@ -56,13 +56,17 @@ mask tests, cached by the index and the run's length.
 Every restriction is declared once, in `_DETAIL`, which maps its id, in
 report order, to the wording of its violation; `RESTRICTION_IDS` and the
 two families are read off it. Its condition is one site function in
-`_SITES`, which gives the witnesses of a violation at the given indices:
-`_pair_site` for the twelve pair restrictions (`_pair_bad`, behind the
-weakly monotone gate), and one function each for cons, caut_tar, bc and
-ex. `check` hands its scan's candidates to `verdict_at`, which asks the
-site function of each and words a verdict from `_DETAIL` that names the
-first witness; the games hand it the one site they built, and
-`evaluate_site` calls the same function at a stored site.
+`_SITES`, which gives the witnesses of a violation at the given indices.
+Every witness set but cons's comes from the pair conditions in
+`_pair_bad`: `_pair_site` asks them for the twelve pair restrictions
+(behind the weakly monotone gate), and `_target_site` with the target as
+the later extension, the last one a learner should reach. So caut_tar at
+(t,) is caut against the target, and bc at the horizon, like ex at an
+index where its label has settled (`_ex_bad`), is smon_b against it.
+`check` hands its scan's candidates to `verdict_at`, which asks the site
+function of each and words a verdict from `_DETAIL` that names the first
+witness; the games hand it the one site they built, and `evaluate_site`
+calls the same function at a stored site.
 """
 
 from __future__ import annotations
@@ -155,11 +159,14 @@ def _pair_bad(variant: str, wa: UPSet, wb: UPSet, target: UPSet) -> UPSet:
     A pair breaks caution when the later extension is a proper subset of
     the earlier one (and, for caut_fin/caut_inf, is finite/infinite); the
     witnesses are the elements the descent loses. Weakly monotone gating
-    is `_pair_site`'s business; this is the ungated pair condition.
+    is `_pair_site`'s business; this is the ungated pair condition. No
+    variant breaks on two equal extensions.
     """
+    if wa is wb:
+        return EMPTY
     if variant in _CAUTIOUS:
-        if (not _lands(variant, wb)
-                or relate(wb, wa) is not Relation.PROPER_SUBSET):
+        if (relate(wb, wa) is not Relation.PROPER_SUBSET
+                or not _lands(variant, wb)):
             return EMPTY
         return difference(wa, wb)
     if variant in ("mon", "mon_b"):
@@ -212,27 +219,15 @@ def _cons_bad(seq: HypSequence, indices):
     yield from mask_elements(conflicts((ps[n], ns[n]), w))
 
 
-def _caut_tar_bad(seq: HypSequence, indices) -> UPSet:
-    """Elements by which extension t strictly covers the target; site (t,)."""
-    if len(indices) != 1:
+def _target_site(variant: str, seq: HypSequence, indices,
+                 last: bool = False) -> UPSet:
+    """Witnesses at the site (t,) of the pair variant with the target as
+    the later extension: caut_tar is caut, and bc, at the horizon only,
+    smon_b against the target."""
+    if len(indices) != 1 or last and indices[0] != len(seq) - 1:
         return EMPTY
-    w, target = seq[indices[0]].extension, seq.informant.target
-    if relate(w, target) is not Relation.PROPER_SUPERSET:
-        return EMPTY
-    return difference(w, target)
-
-
-def _misclassified(w: UPSet, target: UPSet) -> UPSet:
-    if w == target:
-        return EMPTY
-    return union(difference(w, target), difference(target, w))
-
-
-def _bc_bad(seq: HypSequence, indices) -> UPSet:
-    """Elements the extension at the horizon misclassifies; site (horizon,)."""
-    if indices != (len(seq) - 1,):
-        return EMPTY
-    return _misclassified(seq.final.extension, seq.informant.target)
+    target = seq.informant.target
+    return _pair_bad(variant, seq[indices[0]].extension, target, target)
 
 
 def _ex_bad(seq: HypSequence, indices):
@@ -253,8 +248,8 @@ def _ex_bad(seq: HypSequence, indices):
         return EMPTY
     (n,) = indices
     # the cheap test first: check_ex asks every index after the settling one
-    bad = _misclassified(seq[n].extension, seq.informant.target)
-    if bad == EMPTY or all(x.label == seq.final.label
+    bad = _target_site("smon_b", seq, indices)
+    if bad is EMPTY or all(x.label == seq.final.label
                            for x in seq.items[min(n, h - 1):]):
         return bad
     return EMPTY
@@ -273,8 +268,8 @@ def _pair_site(variant: str, seq: HypSequence, indices) -> UPSet:
 
 
 _SITES = {**{rid: partial(_pair_site, rid) for rid in RESTRICTION_IDS},
-          "cons": _cons_bad, "caut_tar": _caut_tar_bad, "bc": _bc_bad,
-          "ex": _ex_bad}
+          "cons": _cons_bad, "caut_tar": partial(_target_site, "caut"),
+          "bc": partial(_target_site, "smon_b", last=True), "ex": _ex_bad}
 
 
 def _first_site(restriction: str, seq: HypSequence, sites):
@@ -327,8 +322,7 @@ def _chain_sites(variant: str, seq: HypSequence):
     target = seq.informant.target
     exts = [h.extension for h in seq.items]
     for t in range(1, len(exts)):
-        wa, wb = exts[t - 1], exts[t]
-        if wa != wb and _pair_bad(variant, wa, wb, target) != EMPTY:
+        if _pair_bad(variant, exts[t - 1], exts[t], target) is not EMPTY:
             yield from _earliest(exts, t)
 
 

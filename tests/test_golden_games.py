@@ -17,7 +17,7 @@ from pathlib import Path
 from inferlab.adversary import ADVERSARY_IDS, DEFAULT_BOUNDS, Bounds, run_adversary
 from inferlab.catalog import LEARNER_IDS, constant_learner, language, learner
 from inferlab.evidence import DataSequence
-from inferlab.harness import Report, _adversary_row, report_to_dict
+from inferlab.harness import Report, adversary_row, report_to_dict
 from inferlab.hypothesis import hypothesis_for
 from inferlab.interaction import Learner
 from inferlab.upset import EMPTY, NATURALS, from_elements
@@ -79,7 +79,7 @@ def golden_rows() -> list[dict]:
                 if aid == "mindchange" and opponent.kind != "Sd":
                     continue
                 witnesses.append(run_adversary(aid, opponent, bounds))
-    rows = tuple(_adversary_row(w) for w in witnesses)
+    rows = tuple(adversary_row(w) for w in witnesses)
     return report_to_dict(Report((), 0, adversaries=rows))["adversaries"]
 
 

@@ -15,14 +15,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "inferlab"
 
 # (importing module, source module, private name)
 ALLOWED = {
-    # a run reads the informant's buffer to its horizon before stepping
-    ("interaction", "evidence", "_read"),
     # a memo tree walks evidence one example at a time, growing the masks
     # and handing each prefix on as an O(1) view, as `prefixes` does
     ("combinators", "evidence", "_shown"),
     ("combinators", "evidence", "_view"),
-    # the CLI prints one adversary row as the report would
-    ("cli", "harness", "_adversary_row"),
 }
 
 

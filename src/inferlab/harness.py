@@ -14,6 +14,7 @@ import itertools
 import json
 import typing
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import __version__
 from .adversary import (
@@ -489,20 +490,36 @@ def exit_code(report: Report, expect: str = "satisfied") -> int:
 # ---------------------------------------------------------------------------
 # serialization; the machine format is the JSON image of these dicts
 
+@lru_cache(maxsize=8)
+def _fields(cls) -> tuple[tuple[str, object, object], ...]:
+    """(name, type hint, nested) of each field of a report dataclass, read
+    once per class: nested is the dataclass the hint names, or holds a
+    tuple of, else None."""
+    hints, out = typing.get_type_hints(cls), []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        item = typing.get_args(hint)[:1]
+        nested = next((h for h in (hint, *item)
+                       if dataclasses.is_dataclass(h)), None)
+        out.append((f.name, hint, nested))
+    return tuple(out)
+
+
 def _to_json(obj) -> dict:
     """A report dataclass as an object: tuples become lists, `params` an
     object, and nested dataclasses objects in turn."""
     out = {}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if f.name == "params":
+    for name, hint, nested in _fields(type(obj)):
+        value = getattr(obj, name)
+        if name == "params":
             value = dict(value)
-        elif isinstance(value, tuple):
-            value = [_to_json(v) if dataclasses.is_dataclass(v) else v
-                     for v in value]
-        elif dataclasses.is_dataclass(value):
+        elif nested is hint:
             value = _to_json(value)
-        out[f.name] = value
+        elif nested is not None:
+            value = [_to_json(v) for v in value]
+        elif type(value) is tuple:
+            value = list(value)
+        out[name] = value
     return out
 
 
@@ -514,13 +531,11 @@ def _from_json(hint, value):
     `...`, and a scalar as its own type; a bool is not an int.
     """
     if dataclasses.is_dataclass(hint):
-        hints = typing.get_type_hints(hint)
         return hint(**{
-            f.name: tuple(sorted((k, _from_json(int, v))
-                                 for k, v in value[f.name].items()))
-            if f.name == "params"
-            else _from_json(hints[f.name], value[f.name])
-            for f in dataclasses.fields(hint)})
+            name: tuple(sorted((k, _from_json(int, v))
+                               for k, v in value[name].items()))
+            if name == "params" else _from_json(field_hint, value[name])
+            for name, field_hint, _ in _fields(hint)})
     args = typing.get_args(hint)
     if type(None) in args:
         return None if value is None else _from_json(args[0], value)
@@ -535,6 +550,52 @@ def _from_json(hint, value):
     if type(value) is not hint:
         raise TypeError(f"expected {hint.__name__}, got {value!r}")
     return value
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` of a report image, as
+    pieces joined once: dicts with string keys, lists, strings, ints,
+    bools and None. Anything else, a float too, raises TypeError, since a
+    report holds none."""
+    out: list[str] = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append the JSON pieces of `value`, whose nested lines start with
+    `newline` (a line break and the indent) plus two spaces."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True or value is False:
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif not isinstance(value, (list, dict)):
+        raise TypeError(f"not a report value: {value!r}")
+    elif not value:
+        out.append("[]" if isinstance(value, list) else "{}")
+    elif isinstance(value, list):
+        inner = newline + "  "
+        out.append("[")
+        for item in value:
+            out.append(inner)
+            _write(item, inner, out)
+            out.append(",")
+        out[-1] = newline + "]"  # in place of the last comma
+    else:
+        inner = newline + "  "
+        out.append("{")
+        for key, item in sorted(value.items()):
+            out.append(f"{inner}{_quote(key)}: ")  # a key not a str raises
+            _write(item, inner, out)
+            out.append(",")
+        out[-1] = newline + "}"
 
 
 def report_to_dict(report: Report) -> dict:
@@ -596,8 +657,7 @@ def _table(headers: tuple[str, ...], cells: list[tuple[str, ...]]) -> list[str]:
 def render_report(report: Report, mode: str = "text") -> str:
     """Stable rendering; `machine` is JSON and parses back losslessly."""
     if mode == "machine":
-        return json.dumps(report_to_dict(report), indent=2,
-                          sort_keys=True) + "\n"
+        return _json_text(report_to_dict(report)) + "\n"
     if mode != "text":
         raise ValueError(f"unknown render mode {mode!r}")
     fp = report.fingerprint

@@ -23,7 +23,7 @@ from typing import Callable
 
 from .evidence import EvidenceIndex, Informant, buffer, content, prefixes
 from .hypothesis import Hypothesis, hypothesis_for
-from .upset import EMPTY, NATURALS
+from .upset import EMPTY, NATURALS, UPSet
 
 KINDS = ("G", "Psd", "Sd", "It")
 
@@ -69,6 +69,18 @@ class HypSequence:
     def index(self) -> EvidenceIndex:
         """The informant's evidence index, read to this sequence's length."""
         return buffer(self.informant, len(self) - 1)[1]
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, UPSet], ...]:
+        """(first index, extension) of each maximal stretch of one
+        extension, in order: the run's change points. Sets are interned,
+        so a stretch ends where the extension is another object."""
+        out, last = [], None
+        for n, h in enumerate(self.items):
+            if h.extension is not last:
+                last = h.extension
+                out.append((n, last))
+        return tuple(out)
 
     def __len__(self) -> int:
         return len(self.items)

@@ -13,15 +13,17 @@ horizon growth. The scans below only choose candidate sites, in that
 order; each candidate is tested by the restriction's site function, as
 `evaluate_site` tests a stored one. A scan passes over a pair only when
 the pair cannot be the first bad one, so the first candidate with a
-witness is the full scan's site, found after far fewer tests:
+witness is the full scan's site, found after far fewer tests. The scans
+walk the run's blocks (`HypSequence.blocks`, made once per run): the first
+index and the extension of each maximal stretch of one extension.
 
-- Only change points t, where the extension differs from the one at t-1,
-  are visited, and at each only the earliest index of each distinct
-  earlier extension is offered. A pair of equal extensions is never bad,
-  and a pair test depends only on the two extensions (and on t for the
-  weakly monotone gate, which only tightens as t grows), so a bad pair
-  (s, t) at a repeated extension makes (s, t-1) bad first, and among
-  equal earlier extensions the earliest index comes first.
+- Only change points t, the blocks' first indices, are visited, and at
+  each only the earliest index of each distinct earlier extension, read
+  off the earlier blocks, is offered. A pair of equal extensions is
+  never bad, and a pair test depends only on the two extensions (and on
+  t for the weakly monotone gate, which only tightens as t grows), so a
+  bad pair (s, t) at a repeated extension makes (s, t-1) bad first, and
+  among equal earlier extensions the earliest index comes first.
 - mon, mon_d, mon_b, smon, smon_d, smon_b: "the pair is fine" is
   reflexive and transitive, so while every step (t-1, t) is fine so is
   every pair up to t. Only steps are tested, with `_pair_bad`, which is
@@ -40,6 +42,11 @@ witness is the full scan's site, found after far fewer tests:
   extensions at worst. (The union of the earlier extensions would answer
   the same question in one test, but its period is the lcm of all
   periods seen, which grows without bound.)
+- cons, caut_tar, bc and ex judge one extension at a time, so each block
+  offers at most one site: its first index from the settling index on
+  (ex) or at all (caut_tar), and for cons the index after its
+  extension's first conflict, if the block reaches it. caut_tar, bc and
+  ex skip a block whose extension is the target, which has no witness.
 
 Whether an extension agrees with the data shown before t (cons, and the
 weakly monotone gate) is answered from the evidence index that the
@@ -58,9 +65,15 @@ report order, to the wording of its violation; `RESTRICTION_IDS` and the
 two families are read off it. Its condition is one site function in
 `_SITES`, which gives the witnesses of a violation at the given indices.
 Every witness set but cons's comes from the pair conditions in
-`_pair_bad`: `_pair_site` asks them for the twelve pair restrictions
-(behind the weakly monotone gate), and `_target_site` with the target as
-the later extension, the last one a learner should reach. So caut_tar at
+`_pair_bad`. Each is one bit formula (`_FORMULAS`) of the masks of the
+earlier extension, the later one and the target over one common cycle
+(`upset.cycle`), kept in a small cache that the variants of one pair
+share (caution asks `relate` first whether the pair is a descent); the
+witness set is built (`upset.from_cycle`) only for a bad
+pair, so a scan builds no set for the fine pairs it passes. `_pair_site`
+asks them for the twelve pair restrictions (behind the weakly monotone
+gate), and `_target_site` with the target as the later extension, the
+last one a learner should reach. So caut_tar at
 (t,) is caut against the target, and bc at the horizon, like ex at an
 index where its label has settled (`_ex_bad`), is smon_b against it.
 `check` hands its scan's candidates to `verdict_at`, which asks the site
@@ -71,6 +84,7 @@ calls the same function at a stored site.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -82,12 +96,11 @@ from .upset import (
     NATURALS,
     Relation,
     UPSet,
-    difference,
-    intersection,
+    cycle,
+    from_cycle,
     mask_elements,
     min_element,
     relate,
-    union,
 )
 
 # Each restriction, in report order, and the wording of its violation at
@@ -153,45 +166,69 @@ def _lands(variant: str, wb: UPSet) -> bool:
     return variant == "caut" or wb.is_finite() == (variant == "caut_fin")
 
 
+# Each pair variant's witnesses as a bit formula of the masks of the
+# earlier extension a, the later one b and the target t over one cycle.
+# A caution variant's are the elements a descent loses, as for smon.
+_FORMULAS = {
+    "mon": lambda a, b, t: a & t & ~b,
+    "mon_d": lambda a, b, t: b & ~(a | t),
+    "mon_b": lambda a, b, t: a & t & ~b | b & ~(a | t),
+    "smon": lambda a, b, t: a & ~b,
+    "smon_d": lambda a, b, t: b & ~a,
+    "smon_b": lambda a, b, t: a ^ b,
+}
+_FORMULAS.update(wmon=_FORMULAS["smon"], wmon_d=_FORMULAS["smon_d"],
+                 wmon_b=_FORMULAS["smon_b"],
+                 **dict.fromkeys(_CAUTIOUS, _FORMULAS["smon"]))
+
+# The (earlier, later, target) cycles of recent pair tests, which the
+# variants of one pair share, as do runs of one learner on one target.
+# On one seed-0 pass of the benchmark's sweep-judge workload, 1024 entries
+# miss 2,383 of 16,356 lookups and 256 miss 3,960; an entry costs about
+# 250 bytes.
+_pair_cycle = lru_cache(maxsize=1024)(cycle)
+# Witness sets recur: a violation's is built again to revalidate it, and
+# bc and ex name the same one. That pass asks for 1,436, 76 distinct.
+_witness = lru_cache(maxsize=256)(from_cycle)
+
+
 def _pair_bad(variant: str, wa: UPSet, wb: UPSet, target: UPSet) -> UPSet:
     """Elements witnessing that the (earlier, later) pair breaks the variant.
 
     A pair breaks caution when the later extension is a proper subset of
     the earlier one (and, for caut_fin/caut_inf, is finite/infinite); the
     witnesses are the elements the descent loses. Weakly monotone gating
-    is `_pair_site`'s business; this is the ungated pair condition. No
-    variant breaks on two equal extensions.
+    is `_pair_site`'s business; this is the ungated pair condition, its
+    formula in `_FORMULAS`. Whether a pair is a descent at all is asked
+    of `relate` first, whose cache `_caut_sites` fills. No variant breaks
+    on two equal extensions. The witness set is built only for a bad pair.
     """
-    if wa is wb:
+    if variant in _CAUTIOUS and (relate(wb, wa) is not Relation.PROPER_SUBSET
+                                 or not _lands(variant, wb)):
         return EMPTY
-    if variant in _CAUTIOUS:
-        if (relate(wb, wa) is not Relation.PROPER_SUBSET
-                or not _lands(variant, wb)):
-            return EMPTY
-        return difference(wa, wb)
-    if variant in ("mon", "mon_b"):
-        bad = difference(intersection(wa, target), wb)
-        if variant == "mon":
-            return bad
-        return union(bad, difference(wb, union(wa, target)))
-    if variant == "mon_d":
-        return difference(wb, union(wa, target))
-    if variant in ("smon", "wmon"):
-        return difference(wa, wb)
-    if variant in ("smon_d", "wmon_d"):
-        return difference(wb, wa)
-    return union(difference(wa, wb), difference(wb, wa))  # smon_b, wmon_b
+    n, length, (a, b, t) = _pair_cycle(wa, wb, target)
+    bits = _FORMULAS[variant](a, b, t)
+    return _witness(bits, n, length) if bits else EMPTY
 
 
-def _earliest(exts: list[UPSet], t: int) -> list[tuple[int, int]]:
-    """The sites (s, t), s the earliest index of each distinct extension
-    before t but exts[t]'s, in index order: the first bad one is the least
-    s."""
+def _earliest(blocks, k: int) -> list[tuple[int, int]]:
+    """The sites (s, t), t the start of blocks[k] and s the earliest index
+    of each distinct extension before t but t's own, in index order: the
+    first bad one is the least s."""
     firsts: dict[UPSet, int] = {}
-    for s in range(t):
-        firsts.setdefault(exts[s], s)
-    firsts.pop(exts[t], None)
+    for s, ext in blocks[:k]:
+        firsts.setdefault(ext, s)
+    t, ext = blocks[k]
+    firsts.pop(ext, None)
     return [(s, t) for s in firsts.values()]
+
+
+def _spans(seq: HypSequence):
+    """(start, end, extension) of each block of the run, made as read."""
+    blocks = seq.blocks
+    ends = itertools.chain((s for s, _ in blocks[1:]), [len(seq)])
+    for (s, ext), end in zip(blocks, ends):
+        yield s, end, ext
 
 
 # The witnesses of a site that names no element: None alone.
@@ -309,8 +346,19 @@ def verdict_at(rid: str, seq: HypSequence, sites,
     return Verdict(rid, False, indices, element, detail)
 
 
+def _cons_sites(seq: HypSequence):
+    """Candidate sites of cons, at most one per block: the index after its
+    extension's first conflict, or the block's start if that is later,
+    while the block lasts."""
+    index, horizon = seq.index, len(seq) - 1
+    for s, end, ext in _spans(seq):
+        fc = _first_conflict(ext, index, horizon)
+        if fc is not None and max(s, fc + 1) < end:
+            yield (max(s, fc + 1),)
+
+
 def check_cons(seq: HypSequence) -> Verdict:
-    return verdict_at("cons", seq, ((n,) for n in range(len(seq))))
+    return verdict_at("cons", seq, _cons_sites(seq))
 
 
 def _chain_sites(variant: str, seq: HypSequence):
@@ -319,11 +367,11 @@ def _chain_sites(variant: str, seq: HypSequence):
     Fine pairs compose, so the first bad t is the first change point whose
     step (t-1, t) is bad; only there are the earlier extensions offered.
     """
-    target = seq.informant.target
-    exts = [h.extension for h in seq.items]
-    for t in range(1, len(exts)):
-        if _pair_bad(variant, exts[t - 1], exts[t], target) is not EMPTY:
-            yield from _earliest(exts, t)
+    target, blocks = seq.informant.target, seq.blocks
+    for k in range(1, len(blocks)):
+        if _pair_bad(variant, blocks[k - 1][1], blocks[k][1],
+                     target) is not EMPTY:
+            yield from _earliest(blocks, k)
 
 
 def _gated_sites(variant: str, seq: HypSequence):
@@ -335,15 +383,12 @@ def _gated_sites(variant: str, seq: HypSequence):
     when it recurs).
     """
     index, horizon = seq.index, len(seq) - 1
-    exts = [h.extension for h in seq.items]
     live: dict[UPSet, int] = {}  # extension -> earliest index, index order
-    for t, wb in enumerate(exts):
-        if t and wb == exts[t - 1]:
-            continue
+    for t, wb in seq.blocks:
         for wa, s in list(live.items()):
             if not _consistent_at(wa, index, horizon, t):
                 del live[wa]
-            elif wa != wb:
+            elif wa is not wb:
                 yield s, t
         if (t < horizon and wb not in live
                 and _consistent_at(wb, index, horizon, t + 1)):
@@ -366,14 +411,12 @@ def _caut_sites(variant: str, seq: HypSequence):
     contains; every earlier extension lies inside one of them, so asking
     them is enough.
     """
-    exts = [h.extension for h in seq.items]
+    blocks = seq.blocks
     tops: list[UPSet] = []
-    for t, wb in enumerate(exts):
-        if t and wb == exts[t - 1]:
-            continue
+    for k, (_, wb) in enumerate(blocks):
         rels = [relate(wb, m) for m in tops]
         if Relation.PROPER_SUBSET in rels and _lands(variant, wb):
-            yield from _earliest(exts, t)
+            yield from _earliest(blocks, k)
         if Relation.PROPER_SUBSET not in rels and Relation.EQUAL not in rels:
             tops = [m for m, r in zip(tops, rels)
                     if r is not Relation.PROPER_SUPERSET] + [wb]
@@ -382,17 +425,17 @@ def _caut_sites(variant: str, seq: HypSequence):
 def check_cautious(variant: str, seq: HypSequence) -> Verdict:
     if variant not in _CAUTIOUS:
         raise ValueError(f"not a caution variant: {variant!r}")
-    sites = (((t,) for t in range(len(seq))) if variant == "caut_tar"
-             else _caut_sites(variant, seq))
+    target = seq.informant.target
+    sites = (((t,) for t, ext in seq.blocks if ext is not target)
+             if variant == "caut_tar" else _caut_sites(variant, seq))
     return verdict_at(variant, seq, sites)
 
 
 def check_bc(seq: HypSequence) -> Verdict:
-    h = len(seq) - 1
-    target = seq.informant.target
-    start = next((n + 1 for n in range(h, -1, -1)
-                  if seq[n].extension != target), 0)
-    return verdict_at("bc", seq, [(h,)], f"correct from {start}")
+    start, last = seq.blocks[-1]
+    right = last is seq.informant.target
+    return verdict_at("bc", seq, [] if right else [(len(seq) - 1,)],
+                      f"correct from {start}")
 
 
 def check_ex(seq: HypSequence) -> Verdict:
@@ -405,7 +448,10 @@ def check_ex(seq: HypSequence) -> Verdict:
     h = len(seq) - 1
     settled = next((t for t in range(h, 0, -1)
                     if seq[t].label != seq[t - 1].label), 0)
-    sites = [(h - 1, h) if h else (0,)] + [(n,) for n in range(settled, h + 1)]
+    target = seq.informant.target
+    tail = ((max(s, settled),) for s, end, ext in _spans(seq)
+            if end > settled and ext is not target)
+    sites = itertools.chain([(h - 1, h) if h else (0,)], tail)
     return verdict_at("ex", seq, sites, f"settled at {settled}")
 
 

@@ -200,12 +200,24 @@ def mask_elements(m: int) -> list[int]:
     return [x for x, bit in enumerate(format(m, "b")[::-1]) if bit == "1"]
 
 
-def _masks(a: UPSet, b: UPSet) -> tuple[int, int, int, int]:
-    """(n, length, mask of a, mask of b) over one common cycle, 0..length-1:
-    n is the longer prefix, and length - n the lcm of the periods."""
-    n = max(a._key[1], b._key[1])
-    length = n + math.lcm(a._key[3], b._key[3])
-    return n, length, to_mask(a, length), to_mask(b, length)
+def cycle(*sets: UPSet) -> tuple[int, int, tuple[int, ...]]:
+    """(n, length, masks): the sets over one common cycle, 0..length-1.
+
+    n is the longest prefix and length - n the lcm of the periods, so past
+    n every set repeats with period length - n, and each mask, bit x for
+    x < length, describes its set with prefix n and that period. A
+    pointwise formula of the masks describes the formula's set the same
+    way; `from_cycle` reads it back.
+    """
+    n = max(u._key[1] for u in sets)
+    length = n + math.lcm(*(u._key[3] for u in sets))
+    return n, length, tuple(to_mask(u, length) for u in sets)
+
+
+def from_cycle(bits: int, n: int, length: int) -> UPSet:
+    """The set whose membership on 0..length-1 is the bits, a mask over a
+    `cycle` (n, length): prefix n bits, then period length - n."""
+    return _normalize(bits & ((1 << n) - 1), n, bits >> n, length - n)
 
 
 # Entries each operation cache below keeps: above what one pass of any
@@ -221,7 +233,7 @@ def relate(a: UPSet, b: UPSet) -> Relation:
     After the longer prefix both membership sequences are periodic with the
     lcm of the periods, so one full common cycle decides the comparison.
     """
-    _, _, ma, mb = _masks(a, b)
+    _, _, (ma, mb) = cycle(a, b)
     a_extra, b_extra = ma & ~mb, mb & ~ma
     if a_extra and b_extra:
         return Relation.INCOMPARABLE
@@ -237,9 +249,8 @@ def is_subset(a: UPSet, b: UPSet) -> bool:
 
 
 def _pointwise(a: UPSet, b: UPSet, op) -> UPSet:
-    n, length, ma, mb = _masks(a, b)
-    bits = op(ma, mb)
-    return _normalize(bits & ((1 << n) - 1), n, bits >> n, length - n)
+    n, length, (ma, mb) = cycle(a, b)
+    return from_cycle(op(ma, mb), n, length)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -19,7 +19,8 @@ from inferlab.catalog import EVEN_X, STREAM_X, _lang_stream_y
 from inferlab.evidence import DataSequence, Example, content, neg, pos
 from inferlab.hypothesis import Hypothesis, hypothesis_for, stage_enumerate
 from inferlab.interaction import Learner, as_full_information
-from inferlab.upset import EMPTY, UPSet, complement, from_elements, union
+from inferlab.upset import (EMPTY, Relation, UPSet, complement, difference,
+                            from_elements, intersection, relate, union)
 
 
 def raw_member(prefix: str, period: str, x: int) -> bool:
@@ -94,6 +95,35 @@ def _pair_witness(variant: str, a: bool, b: bool, t: bool) -> bool:
         return b and not a
     if variant in ("smon_b", "wmon_b"):
         return a != b
+    raise ValueError(f"not a pair variant: {variant!r}")
+
+
+def raw_pair_bad(variant: str, wa: UPSet, wb: UPSet, target: UPSet) -> UPSet:
+    """The witnesses of a bad (earlier, later) pair, from the set algebra:
+    `union`, `intersection`, `difference` and `relate`, one canonical set
+    per step. A caution variant needs a descent, wb strictly inside wa,
+    onto a set of its finiteness; the others are fixed formulas."""
+    if wa is wb:
+        return EMPTY
+    if variant.startswith("caut"):
+        if (relate(wb, wa) is not Relation.PROPER_SUBSET
+                or variant != "caut"
+                and wb.is_finite() != (variant == "caut_fin")):
+            return EMPTY
+        return difference(wa, wb)
+    if variant in ("mon", "mon_b"):
+        bad = difference(intersection(wa, target), wb)
+        if variant == "mon":
+            return bad
+        return union(bad, difference(wb, union(wa, target)))
+    if variant == "mon_d":
+        return difference(wb, union(wa, target))
+    if variant in ("smon", "wmon"):
+        return difference(wa, wb)
+    if variant in ("smon_d", "wmon_d"):
+        return difference(wb, wa)
+    if variant in ("smon_b", "wmon_b"):
+        return union(difference(wa, wb), difference(wb, wa))
     raise ValueError(f"not a pair variant: {variant!r}")
 
 

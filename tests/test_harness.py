@@ -5,9 +5,12 @@ import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inferlab.harness import (
     _SCHEMA,
+    _json_text,
     AdversaryRow,
     CheckRow,
     ConfigError,
@@ -397,3 +400,34 @@ def test_demo_scenarios_all_hold():
     for name, thunk in demo_scenarios():
         holds, summary = thunk()
         assert holds, f"{name}: {summary}"
+
+
+# Characters json escapes, or writes as \uXXXX: quotes, backslashes,
+# control, non-ASCII and astral characters and lone surrogates.
+_chars = (st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\xe9\U0001f600')
+          | st.characters(categories=None))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(-2 ** 300, 2 ** 300) | st.text(_chars, max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(_chars, max_size=6), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+def test_the_machine_writer_is_indented_sorted_json(value):
+    """The writer `render_report` uses in machine mode gives the bytes of
+    `json.dumps(..., indent=2, sort_keys=True)`, nested and empty dicts
+    and lists included."""
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@given(_json_values, st.floats() | st.tuples(st.integers())
+       | st.frozensets(st.integers()) | st.binary())
+def test_the_machine_writer_refuses_what_a_report_never_holds(value, bad):
+    """A float, a tuple, a set or bytes anywhere raises TypeError, and so
+    does a key that is not a string."""
+    for doc in (bad, [value, bad], {"k": [bad]}, {1: value}):
+        with pytest.raises(TypeError):
+            _json_text(doc)

@@ -46,8 +46,9 @@ from inferlab.upset import (
     parse,
     union,
 )
-from oracles import (raw_first_conflict, raw_first_single_site,
-                     raw_first_site, raw_member, raw_site)
+from oracles import (all_descriptions, raw_first_conflict,
+                     raw_first_single_site, raw_first_site, raw_member,
+                     raw_pair_bad, raw_site)
 
 EVENS = parse("|10")
 
@@ -503,6 +504,59 @@ def test_check_all_makes_a_linear_number_of_pair_tests(
     counts = [_pair_tests(monkeypatch, run(catalog_learner(lid), informant, h))
               for h in (100, 200)]
     assert 0 < counts[1] <= 2.5 * counts[0], counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(raw_sets, min_size=1, max_size=3),
+       st.lists(st.integers(0, 2), min_size=1, max_size=16))
+def test_blocks_are_the_change_points(raws, picks):
+    """`HypSequence.blocks` is the naive list of change points, also on
+    runs whose extensions come back (A, B, A)."""
+    pool = [UPSet(*raw) for raw in raws]
+    exts = [pool[k % len(pool)] for k in picks]
+    naive = [(n, e) for n, e in enumerate(exts) if n == 0 or e != exts[n - 1]]
+    assert seq_of(EVENS, exts).blocks == tuple(naive)
+
+
+def test_no_scan_tests_a_pair_of_equal_extensions(monkeypatch):
+    """check_all walks the change points: no pair test gets one extension
+    twice, and a run's pair tests do not grow with its stretches."""
+    a, b = EVENS, NATURALS
+    runs = [run(catalog_learner(lid), canonical_informant(parse(t)), 30)
+            for lid in LEARNER_IDS for t in ("|0", "0|1", "|10")]
+    runs += [seq_of(EVENS, [a] * n + [b] * n + [a] * n + [fin(0)] * n)
+             for n in (2, 40)]
+    calls = []
+    pair_bad = restrictions._pair_bad
+
+    def recording(variant, wa, wb, target):
+        calls.append(wa is wb)
+        return pair_bad(variant, wa, wb, target)
+
+    counts = []
+    with monkeypatch.context() as m:
+        m.setattr(restrictions, "_pair_bad", recording)
+        for seq in runs:
+            check_all(seq)
+            counts.append(len(calls))
+    assert calls and not any(calls)
+    short, long = (counts[-2] - counts[-3], counts[-1] - counts[-2])
+    assert short == long > 0
+
+
+def test_pair_bad_is_the_set_algebra():
+    """Each pair variant's bit formula gives the very set the set algebra
+    builds, for every ordered pair and target among the 16 sets with
+    prefix and period of at most two bits."""
+    sets = list(dict.fromkeys(UPSet(p, q) for p, q in all_descriptions(2, 2)))
+    assert len(sets) == 16
+    for variant in PAIR_VARIANTS:
+        for wa in sets:
+            for wb in sets:
+                for target in sets:
+                    assert restrictions._pair_bad(variant, wa, wb, target) \
+                        is raw_pair_bad(variant, wa, wb, target), \
+                        (variant, wa, wb, target)
 
 
 def test_checks_report_only_sites_their_site_function_confirms(monkeypatch):

@@ -21,7 +21,9 @@ from inferlab.upset import (
     bounded_elements,
     combine,
     complement,
+    cycle,
     difference,
+    from_cycle,
     from_elements,
     from_mask,
     intersection,
@@ -342,13 +344,19 @@ def test_every_small_description_against_the_raw_oracle():
     ops = ((union, operator.or_, lambda x, y: x or y),
            (intersection, operator.and_, lambda x, y: x and y),
            (difference, operator.sub, lambda x, y: x and not y))
+    on_masks = {union: operator.or_, intersection: operator.and_,
+                difference: lambda x, y: x & ~y}
     for (pa, qa), a, ea, ba in zip(descs, sets, elems, members):
         for (pb, qb), b, eb, bb in zip(descs, sets, elems, members):
             assert relate(a, b).value == raw_relation(pa, qa, pb, qb)
             n = max(len(pa), len(pb))
             length = n + math.lcm(len(qa), len(qb))
+            cyc_n, cyc_length, (ma, mb) = cycle(a, b)
+            assert cyc_n <= n and cyc_length - cyc_n <= length - n
             for op, on_sets, on_bits in ops:
                 got = op(a, b)
+                assert from_cycle(on_masks[op](ma, mb), cyc_n,
+                                  cyc_length) is got
                 assert elements(got) == on_sets(ea, eb)
                 raw = "".join("1" if on_bits(ba[x], bb[x]) else "0"
                               for x in range(length))

@@ -174,7 +174,7 @@ def _trie_learner(name: str, grow, answer=_stored) -> Learner:
         root = ctx.memo.get(tag)
         if root is None:
             root = ctx.memo[tag] = grow(
-                None, _view(DataSequence, (), 0, (0, 0)), False, ctx)
+                None, _view((), 0, (0, 0)), False, ctx)
         run, n, last = d._run, len(d), root.last
         if last is not None and last[0] is run and last[1] <= n:
             _, k, node, masks = last
@@ -187,7 +187,7 @@ def _trie_learner(name: str, grow, answer=_stored) -> Learner:
             child = node.children.get(ex)
             if child is None:
                 # the whole evidence is d itself, whose items may be unread
-                tau = d if k == n else _view(DataSequence, d, k, masks)
+                tau = d if k == n else _view(d, k, masks)
                 child = grow(node, tau, masks != before, ctx)
                 node.children[ex] = child
             node = child

@@ -2,7 +2,9 @@
 
 An informant presents, over time, every natural paired with its membership
 bit for a target set. Finite prefixes of that presentation are the only
-evidence a learner ever sees.
+evidence a learner ever sees: a prefix as a `DataSequence`, an O(1) view
+of the informant's buffer, and its content as a `DataSet`, which is the
+prefix's two masks and nothing else.
 """
 
 from __future__ import annotations
@@ -79,49 +81,40 @@ def conflicts(masks: tuple[int, int], u: UPSet) -> int:
 
 
 class _Items:
-    """The `items` field of evidence, read lazily for a view of a run.
+    """The `items` field of a sequence, read lazily for a view of a run.
 
-    All evidence is a view of a run `_run`: its items are the run's first
-    `_n` examples. Evidence built from its items is a view of them and
-    keeps them in its instance dict, which hides this descriptor. A view
-    made by `_view` builds its items on first read and then keeps them the
-    same way. Read on the class, this is the field's default, which is
-    what the dataclass takes it for.
+    Every sequence is a view of a run `_run`: its items are the run's
+    first `_n` examples. A sequence built from its items is a view of them
+    and keeps them in its instance dict, which hides this descriptor. A
+    view made by `_view` builds its items on first read and then keeps
+    them the same way. Read on the class, this is the field's default,
+    which is what the dataclass takes it for.
     """
-
-    def __init__(self, default):
-        self.default = default
 
     def __get__(self, d, cls=None):
         if d is None:
-            return self.default
-        items = d._container(islice(d._run, d._n))
+            return ()
+        items = tuple(islice(d._run, d._n))
         d.__dict__["items"] = items
         return items
 
 
-class _Evidence:
-    """What both kinds of evidence share: the items, validated once into
-    the container `_container`, and their masks.
+@dataclass(frozen=True)
+class DataSequence:
+    """Finite ordered evidence; never assigns two labels to one value.
 
     `masks` is (positives, negatives) as int masks, bit v for value v. It
     is made while the items are validated, or handed to a view. Not a
     field, so equality and hashing see `items` alone; nor are `_run` and
-    `_n`, which evidence built from its items sets to those items.
+    `_n`, which a sequence built from its items sets to those items.
     """
 
+    items: tuple[Example, ...] = _Items()
+
     def __post_init__(self):
-        items = self._container(map(_as_example, self.items))
+        items = tuple(map(_as_example, self.items))
         self.__dict__.update(items=items, _run=items, _n=len(items),
                              masks=_masks_of(items))
-
-
-@dataclass(frozen=True)
-class DataSequence(_Evidence):
-    """Finite ordered evidence; never assigns two labels to one value."""
-
-    items: tuple[Example, ...] = _Items(())
-    _container = tuple
 
     def __len__(self) -> int:
         return self._n
@@ -135,12 +128,23 @@ class DataSequence(_Evidence):
         return self.items[i]
 
 
-@dataclass(frozen=True)
-class DataSet(_Evidence):
-    """Finite unordered evidence; same consistency invariant."""
+@dataclass(frozen=True, init=False)
+class DataSet:
+    """Finite unordered evidence: its masks, (positives, negatives) as int
+    masks, bit v for value v, and nothing else. No value carries two
+    labels, so equal masks are equal examples; the examples are read off
+    the masks, in the order of their values."""
 
-    items: frozenset[Example] = _Items(frozenset())
-    _container = frozenset
+    masks: tuple[int, int]
+
+    def __init__(self, items: Iterable = ()):
+        # every item's shape is checked before any two labels are
+        object.__setattr__(self, "masks",
+                           _masks_of(tuple(map(_as_example, items))))
+
+    @property
+    def items(self) -> frozenset[Example]:
+        return frozenset(self.sorted())
 
     def __len__(self) -> int:
         """The values shown: no value carries two labels."""
@@ -148,28 +152,26 @@ class DataSet(_Evidence):
         return (p | n).bit_count()
 
     def __iter__(self) -> Iterator[Example]:
-        return iter(self.items)
-
-    def __contains__(self, ex) -> bool:
-        return ex in self.items
+        return iter(self.sorted())
 
     def sorted(self) -> tuple[Example, ...]:
-        return tuple(sorted(self.items))
+        p, n = self.masks
+        return tuple(Example(v, p >> v & 1) for v in mask_elements(p | n))
 
 
 Evidence = DataSequence | DataSet
 
 
-def _view(cls, run, n: int, masks: tuple[int, int]):
-    """Evidence of `cls` whose items are the first `n` examples of `run`.
+def _view(run, n: int, masks: tuple[int, int]) -> DataSequence:
+    """The sequence of the first `n` examples of `run`.
 
     O(1): the items are built on first read (see `_Items`). `run` is
     anything that iterates and indexes examples, and its first `n` must
     stay as they are; `masks` must be theirs. Nothing is validated: the
     examples must be valid and no value may carry two labels. A view
-    compares and hashes as evidence built from the same items.
+    compares and hashes as the sequence built from the same items.
     """
-    d = object.__new__(cls)
+    d = object.__new__(DataSequence)
     d.__dict__.update(_run=run, _n=n, masks=masks)
     return d
 
@@ -188,10 +190,13 @@ def outline(d: Evidence) -> frozenset[int]:
 
 
 def content(d: Evidence) -> DataSet:
-    """The evidence as a set; O(1), a view over the same examples."""
+    """The evidence as a set: O(1), its masks alone, holding nothing of
+    the examples or of the run they came from."""
     if isinstance(d, DataSet):
         return d
-    return _view(DataSet, d, len(d), d.masks)
+    s = object.__new__(DataSet)
+    s.__dict__["masks"] = d.masks
+    return s
 
 
 def parse_sequence(text: str) -> DataSequence:
@@ -210,8 +215,7 @@ def parse_sequence(text: str) -> DataSequence:
 
 
 def format_sequence(d: Evidence) -> str:
-    items = d.sorted() if isinstance(d, DataSet) else d.items
-    return ",".join(f"{ex.value}:{'+' if ex.label else '-'}" for ex in items)
+    return ",".join(f"{ex.value}:{'+' if ex.label else '-'}" for ex in d)
 
 
 ORDERS = ("canonical", "fresh", "shuffled")
@@ -350,23 +354,16 @@ def canonical(positives: int, n: int) -> DataSequence:
     whose members are the bits of `positives`, as an O(1) view."""
     cut = (1 << n) - 1
     p = positives & cut
-    return _view(DataSequence, _Canonical(p), n, (p, cut & ~p))
+    return _view(_Canonical(p), n, (p, cut & ~p))
 
 
-def prefixes(
-    informant: Informant, horizon: int
-) -> Iterator[tuple[DataSequence, DataSet]]:
-    """Yield `(prefix(informant, n), content(prefix(informant, n)))`, n = 0..horizon.
+def prefixes(informant: Informant, horizon: int) -> Iterator[DataSequence]:
+    """Yield `prefix(informant, n)`, n = 0..horizon.
 
-    The informant's `buffer` is read on to `horizon` first. Each is then an
-    O(1) view (see `_view`) of it, and a content is made anew only at a
-    new example. A pass is linear in `horizon`, up to the masks."""
+    The informant's `buffer` is read on to `horizon` first. Each prefix is
+    then an O(1) view of it (see `_view`), and its `content` is O(1) too,
+    so a pass is linear in `horizon`, up to the masks."""
     examples, index = buffer(informant, horizon)
     ps, ns = index.positives, index.negatives
-    masks = None
     for n in range(horizon + 1):
-        shown = ps[n], ns[n]
-        if shown != masks:  # a new example: the content grows
-            masks = shown
-            dset = _view(DataSet, examples, n, masks)
-        yield _view(DataSequence, examples, n, masks), dset
+        yield _view(examples, n, (ps[n], ns[n]))

@@ -93,13 +93,14 @@ class HypSequence:
         return self.items[-1]
 
 
-def _handed(kind: str, d, dset) -> tuple:
-    """A learner's arguments before the context at prefix d, content dset."""
+def _handed(kind: str, d) -> tuple:
+    """A learner's arguments before the context at prefix d: d itself, or
+    its O(1) `content`, made only for a Psd or Sd learner."""
     if kind == "G":
         return (d,)
     if kind == "Psd":
-        return (dset, len(d))
-    return (dset,)
+        return (content(d), len(d))
+    return (content(d),)
 
 
 def run(
@@ -112,12 +113,13 @@ def run(
 
     The informant's buffer (`evidence.buffer`) is read to `horizon` before
     the learner's first step. It reads each example once, whatever reads
-    the informant, and keeps each prefix's masks for the judging. A G,
-    Psd or Sd learner is handed O(1) views of it (`evidence.prefixes`),
-    which build their items only if read; an It learner is handed the
-    example alone. So the run's own cost is linear in `horizon`, up to
-    the masks, which are as wide as the largest value shown; what the
-    learner does comes on top.
+    the informant, and keeps each prefix's masks for the judging. Each
+    prefix is an O(1) view of it (`evidence.prefixes`), which builds its
+    items only if read: a G learner is handed the view, a Psd or Sd
+    learner its content, the prefix's masks alone (`_handed`). An It
+    learner is handed the example alone. So the run's own cost is linear
+    in `horizon`, up to the masks, which are as wide as the largest value
+    shown; what the learner does comes on top.
     """
     if horizon not in NATURALS:
         raise ValueError("horizon must be a natural")
@@ -129,8 +131,8 @@ def run(
         for ex in buffer(informant, horizon)[0][:horizon]:
             items.append(fn(items[-1], ex, ctx))
     else:
-        items = [fn(*_handed(kind, d, dset), ctx)
-                 for d, dset in prefixes(informant, horizon)]
+        items = [fn(*_handed(kind, d), ctx)
+                 for d in prefixes(informant, horizon)]
     return HypSequence(tuple(items), learner.name, informant)
 
 
@@ -147,8 +149,7 @@ def as_full_information(learner: Learner) -> Learner:
             return h
 
     else:
-        fn = lambda d, ctx: learner.fn(*_handed(learner.kind, d, content(d)),
-                                       ctx)
+        fn = lambda d, ctx: learner.fn(*_handed(learner.kind, d), ctx)
     return Learner(f"{learner.name}[G]", "G", fn)
 
 

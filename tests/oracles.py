@@ -292,6 +292,16 @@ def raw_canonical(prefix: str, period: str) -> tuple[str, str]:
     return p, q
 
 
+def raw_content(shown) -> frozenset[tuple[int, int]]:
+    """The content of the (value, label) pairs `shown`: the set of them as
+    plain tuples, repeats and order forgotten. A value shown with both
+    labels is refused."""
+    out = frozenset((v, b) for v, b in shown)
+    if len({v for v, _ in out}) < len(out):
+        raise ValueError("a value shown with both labels")
+    return out
+
+
 def raw_consistent(e, d) -> bool:
     """Does every example of the evidence d agree with e, a `Hypothesis`
     or a `UPSet`? Asked of each example in turn."""

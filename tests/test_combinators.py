@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import _shortest_same_content
-from inferlab import combinators
+from inferlab import combinators, evidence
 from inferlab.catalog import FAMILY_IDS, LEARNER_IDS, family_instances
 from inferlab.catalog import learner as catalog_learner
 from inferlab.combinators import (
@@ -469,19 +469,20 @@ def test_agreement_matches_the_example_walk(d, h):
 
 
 def test_set_driven_base_is_handed_unvalidated_content(monkeypatch):
-    # the wrapper's prefixes are valid already, so their content is too
+    # the wrapper's prefixes are valid already, so their content is too:
+    # the run validates each example once, as the buffer reads it
+    inf = canonical_informant(parse("10|1"))
     validated = 0
-    check = DataSet.__post_init__
+    check = evidence._as_example
 
-    def counted_check(d):
+    def counted_check(item):
         nonlocal validated
         validated += 1
-        check(d)
+        return check(item)
 
-    monkeypatch.setattr(DataSet, "__post_init__", counted_check)
-    run(cons_wmon_wrapper(catalog_learner("cofinite")),
-        canonical_informant(parse("10|1")), 100)
-    assert validated == 0
+    monkeypatch.setattr(evidence, "_as_example", counted_check)
+    run(cons_wmon_wrapper(catalog_learner("cofinite")), inf, 100)
+    assert validated == 100
 
 
 def test_combinator_registry():

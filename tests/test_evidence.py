@@ -1,5 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from inferlab.adversary import Bounds
 from inferlab.catalog import family_instances, language
@@ -9,6 +11,7 @@ from inferlab.evidence import (
     DataSet,
     Example,
     Informant,
+    canonical,
     canonical_informant,
     content,
     format_sequence,
@@ -191,13 +194,14 @@ def test_prefixes_match_rebuilt_prefixes(order, text, seed, plan, horizon):
     target = parse(text)
     head = Informant(target, tuple(plan), "shuffled", seed).head
     inf = Informant(target, head, order, seed)
-    expected = [(prefix(inf, n), content(prefix(inf, n)))
-                for n in range(horizon + 1)]
+    expected = [prefix(inf, n) for n in range(horizon + 1)]
     got = list(prefixes(inf, horizon))
     assert got == expected
-    for (d, dset), (d0, dset0) in zip(got, expected):
-        assert d.items == d0.items and dset.items == dset0.items
-        assert hash(d) == hash(d0) and hash(dset) == hash(dset0)
+    for d, d0 in zip(got, expected):
+        assert d.items == d0.items and hash(d) == hash(d0)
+        dset, dset0 = content(d), content(d0)
+        assert dset == dset0 and hash(dset) == hash(dset0)
+        assert dset.items == dset0.items == frozenset(d0.items)
 
 
 class _ListedInformant:
@@ -210,13 +214,84 @@ class _ListedInformant:
 
 def test_prefixes_validate_each_new_example():
     ok = _ListedInformant(Example(4, 1), Example(4, 1), (2, 0))
-    assert [len(dset) for _, dset in prefixes(ok, 3)] == [0, 1, 1, 2]
+    assert [len(content(d)) for d in prefixes(ok, 3)] == [0, 1, 1, 2]
     with pytest.raises(ValueError, match="contradictory labels for 4"):
         list(prefixes(_ListedInformant(Example(4, 1), Example(4, 0)), 2))
     with pytest.raises(ValueError):
         list(prefixes(_ListedInformant((3, 2)), 1))
     with pytest.raises(ValueError):
         list(prefixes(_ListedInformant((-1, 1)), 1))
+
+
+def test_membership_compares_each_example():
+    """`in` asks each example in turn with `==`, on a set as on a
+    sequence: an unhashable object is in neither, and refused by neither."""
+    d = DataSequence(((1, 1), (4, 0)))
+    for e in (d, content(d), DataSet({(4, 0), (1, 1)})):
+        assert [1, 1] not in e and {} not in e
+        assert (1, 1) in e and Example(4, 0) in e and (1, True) in e
+        assert (1, 0) not in e and 1 not in e and (2, 1) not in e
+
+
+def _agrees(s: DataSet, want: frozenset) -> None:
+    """`s` answers as `want`, the oracle set of its examples: its length,
+    items, order and iteration, and `in` for each example, the example
+    with its label flipped, `(v, True)` and non-examples."""
+    assert len(s) == len(want) and s.items == want
+    assert s.sorted() == tuple(sorted(want)) == tuple(s)
+    top = max((v for v, _ in want), default=-1)
+    for v in range(top + 2):
+        for x in ((v, 0), (v, 1), (v, True), (v, 2), (v,), (v, 1, 0), v):
+            assert (x in s) == (x in want), x
+    assert None not in s and "x" not in s
+
+
+def _compare(made) -> None:
+    """Each two (set, oracle set) pairs are equal, and hash alike, when
+    their oracle sets are equal."""
+    for s, want in made:
+        _agrees(s, want)
+        for t, other in made:
+            assert (s == t) == (want == other)
+            assert hash(s) == hash(t) or want != other
+
+
+def _consistent(raw) -> list:
+    """The pairs of `raw`, each value with the label it is first given."""
+    first = {}
+    return [(v, first.setdefault(v, b)) for v, b in raw]
+
+
+_RAW = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 1)), max_size=10)
+
+
+@settings(max_examples=200)
+@given(_RAW, _RAW, st.integers(0, 1 << 14), st.integers(0, 14))
+def test_a_set_answers_as_the_frozenset_of_its_examples(raw, raw2, p, n):
+    shown, shown2 = _consistent(raw), _consistent(raw2)
+    rows = [(i, p >> i & 1) for i in range(n)]
+    made = [(DataSet(shown), shown),
+            (DataSet(shown2), shown2),
+            (content(DataSequence(tuple(shown[::-1] + shown))), shown),
+            (content(DataSequence(tuple(shown2))), shown2),
+            (content(canonical(p, n)), rows),
+            (DataSet(rows[::-1]), rows)]
+    _compare([(s, oracles.raw_content(x)) for s, x in made])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORDERS), st.sampled_from(_TARGETS), st.integers(0, 50),
+       st.lists(st.integers(0, 40), max_size=6), st.integers(0, 40))
+def test_every_prefix_content_answers_as_the_frozenset_of_its_examples(
+        order, text, seed, plan, horizon):
+    target = parse(text)
+    head = Informant(target, tuple(plan), "shuffled", seed).head
+    inf = Informant(target, head, order, seed)
+    shown = [tuple(inf.example_at(i)) for i in range(horizon)]
+    made = [(content(d), oracles.raw_content(shown[:n]))
+            for n, d in enumerate(prefixes(inf, horizon))]
+    assert len(made) == horizon + 1
+    _compare(made)
 
 
 # ---------------------------------------------------------------------------

@@ -347,27 +347,31 @@ def _items_built(monkeypatch, lrn, inf, horizon) -> int:
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_constant_learner_has_no_items_built(monkeypatch, kind):
     """A run hands over views, which build their items only when read, so
-    a learner that reads nothing costs no copy of the evidence."""
+    a learner that reads nothing costs no copy of the evidence. A content
+    is the prefix's masks alone: its items are read off them, and no view
+    builds its items for it."""
     inf = Informant(parse("10|1"), (9, 3, 3), "shuffled", 4)
     lrn = Learner("constant", kind, _CONSTANT[kind])
     assert _items_built(monkeypatch, lrn, inf, 200) == 0
     if kind != "It":  # the count sees a learner that reads the items
-        reads = lambda *args: (args[0].items, INITIAL_HYPOTHESIS)[1]
-        # one content per new example, a prefix per step
-        handed = 201 if kind == "G" else 1 + len(set(prefix(inf, 200).items))
+        read = []
+        reads = lambda *args: (read.append(args[0].items),
+                               INITIAL_HYPOTHESIS)[1]
         assert _items_built(monkeypatch, Learner("reads", kind, reads),
-                            inf, 200) == handed
+                            inf, 200) == (201 if kind == "G" else 0)
+        assert [frozenset(items) for items in read] == \
+            [frozenset(prefix(inf, n).items) for n in range(201)]
 
 
 def _counted_reads(monkeypatch) -> tuple[list, list]:
-    """The classes of the views `evidence._view` builds from now on, and
+    """The lengths of the views `evidence._view` builds from now on, and
     the indices `Informant.example_at` is asked for."""
     built, calls = [], []
     view, example_at = evidence._view, Informant.example_at
 
-    def counted_view(cls, *args):
-        built.append(cls)
-        return view(cls, *args)
+    def counted_view(run, n, masks):
+        built.append(n)
+        return view(run, n, masks)
 
     def counted_example_at(self, i):
         calls.append(i)

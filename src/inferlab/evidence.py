@@ -3,8 +3,8 @@
 An informant presents, over time, every natural paired with its membership
 bit for a target set. Finite prefixes of that presentation are the only
 evidence a learner ever sees: a prefix as a `DataSequence`, an O(1) view
-of the informant's buffer, and its content as a `DataSet`, which is the
-prefix's two masks and nothing else.
+of the informant's buffer (`prefixes`), and its content as a `DataSet`,
+the prefix's two masks and nothing else (`contents`, with no view).
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice, repeat
+from operator import and_, or_
 from typing import Iterable, Iterator, NamedTuple
 
 from .upset import NATURALS, UPSet, mask_elements, to_mask
@@ -195,7 +196,7 @@ def content(d: Evidence) -> DataSet:
     if isinstance(d, DataSet):
         return d
     s = object.__new__(DataSet)
-    s.__dict__["masks"] = d.masks
+    object.__setattr__(s, "masks", d.masks)
     return s
 
 
@@ -242,17 +243,16 @@ class Informant:
 
     A head entry is a bare natural, which the target labels, or a
     (value, label) pair that must agree with the target.
-    Runs, checks and games read it through its one `buffer`, so
-    each index is read once whatever reads it.
+    Runs, checks and games read it through its one `buffer`, in bulk
+    (`_values`), so each index is read once whatever reads it.
     """
 
     target: UPSet
     head: tuple[Example, ...] = ()
     order: str = "canonical"
     seed: int = 0
-    # fresh order: the i-th head value, sorted and distinct, minus i, that
-    # is, how many values outside the head lie below it; set once, not a
-    # field, so equality and hashing do not see it
+    # fresh order: the i-th distinct head value, sorted, minus i, counts the
+    # values outside the head below it; not a field, so == and hash skip it
     _gaps = ()
 
     def __post_init__(self):
@@ -276,20 +276,25 @@ class Informant:
         object.__setattr__(self, "_gaps", tuple(
             v - i for i, v in enumerate(sorted({ex.value for ex in head}))))
 
+    def _values(self, i: int, n: int) -> list[int]:
+        """The values shown at indices i..n-1, the head's first."""
+        k, out = len(self.head), [ex.value for ex in self.head[i:n]]
+        j, m = max(i - k, 0), max(n - k, 0)  # indices into the tail
+        if self.order == "canonical":
+            out += range(j, m)
+        elif self.order == "shuffled":
+            first, skip = divmod(j, _BLOCK)
+            out += [v for b in range(first, (m - 1) // _BLOCK + 1)
+                    for v in _block_perm(self.seed, b)][skip:skip + m - j]
+        else:  # fresh: canonical order over values the head did not show,
+            # so the j-th is j plus the head values below it
+            out += [v + bisect_right(self._gaps, v) for v in range(j, m)]
+        return out
+
     def example_at(self, i: int) -> Example:
         if i < 0:
             raise ValueError("index must be a natural")
-        if i < len(self.head):
-            return self.head[i]
-        j = i - len(self.head)
-        if self.order == "canonical":
-            value = j
-        elif self.order == "shuffled":
-            block, offset = divmod(j, _BLOCK)
-            value = _block_perm(self.seed, block)[offset]
-        else:  # fresh: canonical order over values the head did not show,
-            # so the j-th is j plus the head values below it
-            value = j + bisect_right(self._gaps, j)
+        (value,) = self._values(i, i + 1)
         return Example(value, 1 if self.target.member(value) else 0)
 
 
@@ -317,16 +322,24 @@ class EvidenceIndex:
 
 def buffer(informant, n: int) -> tuple[list[Example], EvidenceIndex]:
     """The informant's buffer, read on to hold at least n examples: the
-    examples shown, each validated once and checked before it is kept,
-    and their evidence index. It lives in the instance dict, unseen by
-    equality, hashing and repr; only appended to, so views of it stay
-    valid; holding no reference back, so a dropped informant frees it."""
+    examples shown and their evidence index. It lives in the instance dict,
+    unseen by equality, hashing and repr; only appended to, so views of it
+    stay valid; holding no reference back, so a dropped informant frees it.
+    An `Informant` is read in bulk and labelled by its target's mask, any
+    other one `example_at` at a time, each example checked before kept."""
     buf = vars(informant).get("_buffer")
     if buf is None:
         buf = ([], EvidenceIndex())
         object.__setattr__(informant, "_buffer", buf)
     examples, index = buf
-    ps, ns = index.positives, index.negatives
+    ps, ns, i = index.positives, index.negatives, len(examples)
+    if i < n and isinstance(informant, Informant):
+        values = informant._values(i, n)
+        t, new = to_mask(informant.target, max(values) + 1), tuple.__new__
+        examples += [new(Example, (v, t >> v & 1)) for v in values]
+        bits = [1 << v for v in values]  # ps[i:] starts with ps[i] again
+        ps[i:] = accumulate(map(and_, bits, repeat(t)), or_, initial=ps[i])
+        ns[i:] = accumulate(map(and_, bits, repeat(~t)), or_, initial=ns[i])
     for i in range(len(examples), n):
         ex = _as_example(informant.example_at(i))
         p, q = _shown((ps[i], ns[i]), ex)
@@ -367,3 +380,12 @@ def prefixes(informant: Informant, horizon: int) -> Iterator[DataSequence]:
     ps, ns = index.positives, index.negatives
     for n in range(horizon + 1):
         yield _view(examples, n, (ps[n], ns[n]))
+
+
+def contents(informant, horizon: int) -> Iterator[DataSet]:
+    """Yield `content(prefix(informant, n))`, n = 0..horizon, no view made."""
+    index = buffer(informant, horizon)[1]
+    for masks in zip(index.positives[:horizon + 1], index.negatives):
+        s = object.__new__(DataSet)
+        object.__setattr__(s, "masks", masks)
+        yield s

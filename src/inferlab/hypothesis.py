@@ -58,7 +58,8 @@ class Hypothesis:
     delay: DelaySchedule = DEFAULT_DELAY
 
     def __post_init__(self):
-        if self.label not in NATURALS:
+        label = self.label
+        if not isinstance(label, int) or isinstance(label, bool) or label < 0:
             raise ValueError("labels are naturals")
         for x, _ in self.delay.overrides:
             if not self.extension.member(x):
@@ -105,7 +106,12 @@ def extension_label(u: UPSet) -> int:
 
 
 def hypothesis_for(u: UPSet) -> Hypothesis:
-    return Hypothesis(extension_label(u), u)
+    """`Hypothesis(extension_label(u), u)`, minus checks that cannot fail."""
+    h = object.__new__(Hypothesis)
+    object.__setattr__(h, "label", extension_label(u))
+    object.__setattr__(h, "extension", u)
+    object.__setattr__(h, "delay", DEFAULT_DELAY)
+    return h
 
 
 def format_hypothesis(h: Hypothesis) -> str:

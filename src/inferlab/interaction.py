@@ -11,8 +11,8 @@ the learner gets to see at step n of an informant presentation:
 Iterative runs start from a designated empty-extension hypothesis, so the
 hypothesis stream is total from step 0 in every mode. Every mode reads the
 informant through its one buffer (`evidence.buffer`), so every mode refuses
-the same bad informants. `_handed` alone says what a G, Psd or Sd learner
-is handed; every mode passes the context last.
+the same bad informants. A run hands a G learner `evidence.prefixes`, a
+Psd or Sd learner `evidence.contents`; every mode passes the context last.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from .evidence import EvidenceIndex, Informant, buffer, content, prefixes
+from .evidence import (EvidenceIndex, Informant, buffer, content, contents,
+                       prefixes)
 from .hypothesis import Hypothesis, hypothesis_for
 from .upset import EMPTY, NATURALS, UPSet
 
@@ -93,16 +94,6 @@ class HypSequence:
         return self.items[-1]
 
 
-def _handed(kind: str, d) -> tuple:
-    """A learner's arguments before the context at prefix d: d itself, or
-    its O(1) `content`, made only for a Psd or Sd learner."""
-    if kind == "G":
-        return (d,)
-    if kind == "Psd":
-        return (content(d), len(d))
-    return (content(d),)
-
-
 def run(
     learner: Learner,
     informant: Informant,
@@ -113,12 +104,12 @@ def run(
 
     The informant's buffer (`evidence.buffer`) is read to `horizon` before
     the learner's first step. It reads each example once, whatever reads
-    the informant, and keeps each prefix's masks for the judging. Each
-    prefix is an O(1) view of it (`evidence.prefixes`), which builds its
-    items only if read: a G learner is handed the view, a Psd or Sd
-    learner its content, the prefix's masks alone (`_handed`). An It
-    learner is handed the example alone. So the run's own cost is linear
-    in `horizon`, up to the masks, which are as wide as the largest value
+    the informant, and keeps each prefix's masks for the judging. A G
+    learner is handed each prefix as an O(1) view of it, which builds its
+    items only if read (`evidence.prefixes`); a Psd or Sd learner its
+    content, made from those masks with no view (`evidence.contents`); an
+    It learner the example alone. So the run's own cost is linear in
+    `horizon`, up to the masks, which are as wide as the largest value
     shown; what the learner does comes on top.
     """
     if horizon not in NATURALS:
@@ -130,9 +121,13 @@ def run(
         items = [INITIAL_HYPOTHESIS]
         for ex in buffer(informant, horizon)[0][:horizon]:
             items.append(fn(items[-1], ex, ctx))
+    elif kind == "G":
+        items = [fn(d, ctx) for d in prefixes(informant, horizon)]
+    elif kind == "Psd":
+        items = [fn(s, n, ctx)
+                 for n, s in enumerate(contents(informant, horizon))]
     else:
-        items = [fn(*_handed(kind, d), ctx)
-                 for d in prefixes(informant, horizon)]
+        items = [fn(s, ctx) for s in contents(informant, horizon)]
     return HypSequence(tuple(items), learner.name, informant)
 
 
@@ -148,8 +143,10 @@ def as_full_information(learner: Learner) -> Learner:
                 h = learner.fn(h, ex, ctx)
             return h
 
+    elif learner.kind == "Psd":
+        fn = lambda d, ctx: learner.fn(content(d), len(d), ctx)
     else:
-        fn = lambda d, ctx: learner.fn(*_handed(learner.kind, d), ctx)
+        fn = lambda d, ctx: learner.fn(content(d), ctx)
     return Learner(f"{learner.name}[G]", "G", fn)
 
 

@@ -10,6 +10,7 @@ i, and is interned: a weak table maps each form to its one live set.
 from __future__ import annotations
 
 import math
+import re
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable
@@ -194,10 +195,14 @@ def to_mask(u: UPSet, width: int) -> int:
 
 def mask_elements(m: int) -> list[int]:
     """The set bits of m, increasing: the elements of `from_mask(m)`, read
-    off its bit string in time linear in its width."""
+    off its bit string in linear time, bit by bit if at least a quarter are
+    set, else by a search that steps in Python only per element."""
     if m < 0:
         raise ValueError("naturals only")
-    return [x for x, bit in enumerate(format(m, "b")[::-1]) if bit == "1"]
+    bits = format(m, "b")[::-1]
+    if m.bit_count() * 4 >= m.bit_length():
+        return [x for x, bit in enumerate(bits) if bit == "1"]
+    return [one.start() for one in re.finditer("1", bits)]
 
 
 def cycle(*sets: UPSet) -> tuple[int, int, tuple[int, ...]]:

@@ -14,6 +14,7 @@ of their finite conjectures one by one.
 from __future__ import annotations
 
 import math
+import random
 
 from inferlab.catalog import EVEN_X, STREAM_X, _lang_stream_y
 from inferlab.evidence import DataSequence, Example, content, neg, pos
@@ -28,6 +29,43 @@ def raw_member(prefix: str, period: str, x: int) -> bool:
     if x < len(prefix):
         return prefix[x] == "1"
     return period[(x - len(prefix)) % len(period)] == "1"
+
+
+def raw_presentation(target: tuple[str, str], head, order: str, seed: int,
+                     n: int) -> list[tuple[int, int]]:
+    """The first n (value, label) pairs an informant shows, from the order
+    definitions alone and never through `example_at`.
+
+    `target` is a raw (prefix, period) pair, and every label is its raw
+    membership bit. The head is shown first as it is given, a bare natural
+    with its label. Then the naturals follow in blocks of eight, 8b to
+    8b + 7: in canonical order; in canonical order without the values the
+    head showed (fresh); or each block shuffled by a `random.Random`
+    seeded with seed * 1_000_003 + b (shuffled).
+    """
+    p, q = target
+    label = lambda v: int(raw_member(p, q, v))
+    shown = [tuple(x) if isinstance(x, tuple) else (x, label(x))
+             for x in head]
+    head_values = {v for v, _ in shown}
+    block = 0
+    while len(shown) < n:
+        cells = list(range(8 * block, 8 * block + 8))
+        if order == "shuffled":
+            random.Random(seed * 1_000_003 + block).shuffle(cells)
+        elif order == "fresh":
+            cells = [v for v in cells if v not in head_values]
+        shown += [(v, label(v)) for v in cells]
+        block += 1
+    return shown[:n]
+
+
+def raw_masks(shown) -> tuple[int, int]:
+    """The (positives, negatives) masks of the (value, label) pairs shown,
+    bit v for value v, added up value by value."""
+    pos_values = {v for v, b in shown if b}
+    neg_values = {v for v, b in shown if not b}
+    return sum(1 << v for v in pos_values), sum(1 << v for v in neg_values)
 
 
 def raw_bound(pa: str, qa: str, pb: str = "", qb: str = "1") -> int:

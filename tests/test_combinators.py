@@ -468,10 +468,19 @@ def test_agreement_matches_the_example_walk(d, h):
     assert _stage_union(h, d) == oracles.raw_stage_union(h, d)
 
 
+class _ShownOneByOne:
+    """The examples of an informant, read one index at a time, as any
+    object with an `example_at` is."""
+
+    def __init__(self, informant):
+        self.example_at = informant.example_at
+
+
 def test_set_driven_base_is_handed_unvalidated_content(monkeypatch):
     # the wrapper's prefixes are valid already, so their content is too:
-    # the run validates each example once, as the buffer reads it
-    inf = canonical_informant(parse("10|1"))
+    # a duck-typed informant's examples are validated once each, as the
+    # buffer reads them, and a catalog informant's are not validated one
+    # by one at all, as its target labels them
     validated = 0
     check = evidence._as_example
 
@@ -481,7 +490,11 @@ def test_set_driven_base_is_handed_unvalidated_content(monkeypatch):
         return check(item)
 
     monkeypatch.setattr(evidence, "_as_example", counted_check)
-    run(cons_wmon_wrapper(catalog_learner("cofinite")), inf, 100)
+    wrapped = cons_wmon_wrapper(catalog_learner("cofinite"))
+    inf = canonical_informant(parse("10|1"))
+    one_by_one = run(wrapped, _ShownOneByOne(inf), 100)
+    assert validated == 100
+    assert run(wrapped, inf, 100).items == one_by_one.items
     assert validated == 100
 
 

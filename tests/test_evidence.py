@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
@@ -11,9 +11,11 @@ from inferlab.evidence import (
     DataSet,
     Example,
     Informant,
+    buffer,
     canonical,
     canonical_informant,
     content,
+    contents,
     format_sequence,
     neg,
     outline,
@@ -204,6 +206,72 @@ def test_prefixes_match_rebuilt_prefixes(order, text, seed, plan, horizon):
         assert dset.items == dset0.items == frozenset(d0.items)
 
 
+def _head(text: str, plan) -> tuple:
+    """A head of the target `text`: each planned value bare, or as a pair
+    with the target's own label, as its flag says."""
+    p, _, q = text.partition("|")
+    return tuple((v, int(oracles.raw_member(p, q, v))) if pair else v
+                 for v, pair in plan)
+
+
+_PLANS = st.lists(st.tuples(st.integers(0, 90), st.booleans()), max_size=6)
+_STEPS = st.lists(st.integers(0, 90), min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ORDERS), st.sampled_from(_TARGETS),
+       st.integers(0, 10**6), _PLANS, _STEPS)
+@example("shuffled", "10|1", 2, [(3, False), (3, True)], [0, 40, 1, 60])
+@example("fresh", "0110|10", 5, [(9, True), (2, False)], [0, 40, 1, 60])
+def test_the_bulk_buffer_is_the_presentation(order, text, seed, plan,
+                                             steps):
+    """Read on in uneven steps, an informant's buffer holds the examples
+    the order definitions give, and each prefix's masks; `example_at`
+    shows the same examples one at a time."""
+    inf = Informant(parse(text), _head(text, plan), order, seed)
+    p, _, q = text.partition("|")
+    read = 0
+    for n in steps:
+        examples, index = buffer(inf, n)
+        read = max(read, n)
+        shown = oracles.raw_presentation((p, q), _head(text, plan), order,
+                                         seed, read)
+        assert examples == shown and len(index.positives) == read + 1
+        assert all(type(ex) is Example for ex in examples)
+        assert list(zip(index.positives, index.negatives)) == [
+            oracles.raw_masks(shown[:k]) for k in range(read + 1)]
+    assert [inf.example_at(i) for i in range(read)] == shown
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ORDERS), st.sampled_from(_TARGETS),
+       st.integers(0, 10**6), _PLANS, _STEPS)
+def test_each_set_handed_to_a_set_driven_learner_is_the_prefix_content(
+        order, text, seed, plan, steps):
+    """Runs of uneven lengths on one informant hand a Psd or Sd learner,
+    at step n, the content of the prefix of length n, built from scratch
+    and by the oracle alike; `contents` yields the same sets."""
+    inf = Informant(parse(text), _head(text, plan), order, seed)
+    p, _, q = text.partition("|")
+    for kind in ("Psd", "Sd"):
+        for horizon in steps:
+            handed = []
+            keep = lambda s, *rest: (handed.append((s, *rest[:-1])),
+                                     INITIAL_HYPOTHESIS)[1]
+            run(Learner("keep", kind, keep), inf, horizon)
+            shown = oracles.raw_presentation((p, q), _head(text, plan),
+                                             order, seed, horizon)
+            assert len(handed) == horizon + 1
+            for n, (s, *count) in enumerate(handed):
+                want = content(prefix(inf, n))
+                assert type(s) is DataSet and count == ([n] if kind == "Psd"
+                                                        else [])
+                assert s == want and hash(s) == hash(want)
+                assert s.masks == oracles.raw_masks(shown[:n])
+                assert s.items == oracles.raw_content(shown[:n])
+            assert list(contents(inf, horizon)) == [s for s, *_ in handed]
+
+
 class _ListedInformant:
     def __init__(self, *examples):
         self.examples = examples
@@ -315,7 +383,8 @@ _TAKES_A_NATURAL = {
 }
 
 
-@pytest.mark.parametrize("bad", [True, 1.5, -1, "1"], ids=repr)
+@pytest.mark.parametrize("bad", [True, 1.5, -1, "1", False, 2.0, -2**70],
+                         ids=repr)
 @pytest.mark.parametrize("entry", sorted(_TAKES_A_NATURAL))
 def test_every_natural_entry_refuses_non_naturals(entry, bad):
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from inferlab.hypothesis import (
     consistent,
     extension_label,
     format_hypothesis,
+    hypothesis_for,
     stage_enumerate,
 )
 from inferlab.upset import EMPTY, UPSet, parse
@@ -111,6 +112,22 @@ def _label_by_digits(u) -> int:
 def test_extension_label_matches_the_digit_loop(prefix, period):
     u = UPSet(prefix, period)
     assert extension_label(u) == _label_by_digits(u)
+
+
+@given(st.text(alphabet="01", max_size=10),
+       st.text(alphabet="01", min_size=1, max_size=8))
+def test_hypothesis_for_is_the_checked_hypothesis(prefix, period):
+    """Built without `__init__`, it is the hypothesis `__init__` builds:
+    equal, hashed, shown and delayed alike, and as frozen."""
+    u = UPSet(prefix, period)
+    h, want = hypothesis_for(u), Hypothesis(extension_label(u), u)
+    assert type(h) is Hypothesis and h == want and want == h
+    assert hash(h) == hash(want) and repr(h) == repr(want)
+    assert str(h) == str(want) and vars(h) == vars(want)
+    assert h.delay is want.delay is DEFAULT_DELAY
+    assert h != Hypothesis(extension_label(u) + 1, u)
+    with pytest.raises(AttributeError):
+        h.label = 0
 
 
 def test_format_parse_round_trip():

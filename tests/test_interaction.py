@@ -184,15 +184,18 @@ def test_run_enumerates_the_informant_once(lrn, monkeypatch):
     """Whatever reads an informant reads it through its one buffer, so
     over runs of any length, a check of a sequence built by hand and a
     game with the replay of its witness, each index of each informant is
-    read exactly once in total."""
+    read exactly once in total. An `Informant` reads the values it shows
+    through `_values`, in bulk and one index alike, so the indices of the
+    ranges it is asked for are the reads."""
     calls = []
-    example_at = Informant.example_at
+    values = Informant._values
 
-    def counted(self, i):
-        calls.append((self, i))  # keeps the informant alive: ids stay apart
-        return example_at(self, i)
+    def counted(self, i, n):
+        # keeps the informant alive: ids stay apart
+        calls.extend((self, j) for j in range(i, n))
+        return values(self, i, n)
 
-    monkeypatch.setattr(Informant, "example_at", counted)
+    monkeypatch.setattr(Informant, "_values", counted)
     inf = Informant(parse("10|1"), (3, 3), "shuffled", 2)
     for horizon in (0, 40, 1, 60):
         run(lrn, inf, horizon)
@@ -365,20 +368,20 @@ def test_a_constant_learner_has_no_items_built(monkeypatch, kind):
 
 def _counted_reads(monkeypatch) -> tuple[list, list]:
     """The lengths of the views `evidence._view` builds from now on, and
-    the indices `Informant.example_at` is asked for."""
+    the indices of the ranges `Informant._values` is asked for."""
     built, calls = [], []
-    view, example_at = evidence._view, Informant.example_at
+    view, values = evidence._view, Informant._values
 
     def counted_view(run, n, masks):
         built.append(n)
         return view(run, n, masks)
 
-    def counted_example_at(self, i):
-        calls.append(i)
-        return example_at(self, i)
+    def counted_values(self, i, n):
+        calls.extend(range(i, n))
+        return values(self, i, n)
 
     monkeypatch.setattr(evidence, "_view", counted_view)
-    monkeypatch.setattr(Informant, "example_at", counted_example_at)
+    monkeypatch.setattr(Informant, "_values", counted_values)
     return built, calls
 
 
@@ -389,6 +392,17 @@ def test_an_iterative_run_builds_no_view(monkeypatch):
     seq = run(IT_COLLECT, inf, 200)
     assert built == [] and calls == list(range(200))
     assert seq.final == run(as_full_information(IT_COLLECT), inf, 200).final
+
+
+@pytest.mark.parametrize("lrn", (LENGTH_AWARE, FIN_POS),
+                         ids=lambda lrn: lrn.kind)
+def test_a_set_driven_run_builds_no_view(monkeypatch, lrn):
+    """A Psd or Sd learner is handed sets made from the evidence index."""
+    built, calls = _counted_reads(monkeypatch)
+    inf = Informant(parse("10|1"), (9, 3, 3), "shuffled", 4)
+    seq = run(lrn, inf, 200)
+    assert built == [] and calls == list(range(200))
+    assert seq.items == run(as_full_information(lrn), inf, 200).items
 
 
 def test_the_index_of_a_sequence_built_by_hand_builds_no_view(monkeypatch):

@@ -636,18 +636,21 @@ def test_first_conflicts_match_the_informant_walk(drawn):
 def test_check_all_reads_the_informant_only_for_a_hand_built_run(
         monkeypatch, lid):
     calls = []
-    example_at = Informant.example_at
+    values = Informant._values
 
-    def counted(self, i):
-        calls.append(i)
-        return example_at(self, i)
+    def counted(self, i, n):
+        calls.extend(range(i, n))
+        return values(self, i, n)
 
     horizon = 40
+    monkeypatch.setattr(Informant, "_values", counted)
     inf = Informant(parse("10|1"), (29, 3, 3), "shuffled", 2)
     seq = run(catalog_learner(lid), inf, horizon)
-    monkeypatch.setattr(Informant, "example_at", counted)
+    assert calls == list(range(horizon))
     made = check_all(seq)
-    assert calls == []
+    assert calls == list(range(horizon))
+    calls.clear()
+    inf = Informant(parse("10|1"), (29, 3, 3), "shuffled", 2)
     by_hand = check_all(HypSequence(seq.items, "handmade", inf))
     assert by_hand == made
-    assert len(calls) <= horizon
+    assert calls == list(range(horizon))

@@ -278,6 +278,31 @@ def test_from_mask_matches_from_elements(xs):
         from_mask(-1 - sum(1 << x for x in xs))
 
 
+def _string_walk(m: int) -> list[int]:
+    """The set bits of m, read off its bit string one bit at a time."""
+    return [x for x, bit in enumerate(format(m, "b")[::-1]) if bit == "1"]
+
+
+_WIDE = 10**6
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.sets(st.integers(0, 300), max_size=8),  # sparse
+    st.sets(st.integers(0, 40), min_size=10),  # dense
+    st.sets(st.integers(0, _WIDE), max_size=3).map(lambda xs: xs | {_WIDE}),
+    st.integers(0, 64).map(lambda k: set(range(k))),
+    # k bits set in a width of 4k - 1, 4k or 4k + 1: either side of the
+    # switch between the two ways of reading
+    st.tuples(st.integers(1, 20), st.integers(-1, 1)).map(
+        lambda kd: set(range(kd[0] - 1)) | {4 * kd[0] - 1 + kd[1]})))
+def test_mask_elements_matches_the_string_walk(xs):
+    """Sparse and dense masks, and masks 10**6 bits wide, list their set
+    bits as walking their bit string does, whichever way they are read."""
+    m = sum(1 << x for x in xs)
+    assert mask_elements(m) == _string_walk(m) == sorted(xs)
+
+
 @settings(max_examples=300, deadline=None)
 @given(upsets)
 def test_complement_is_canonical_as_it_stands(u):

@@ -13,8 +13,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, islice, repeat
-from operator import and_, or_
+from itertools import accumulate, compress, islice, repeat
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
 from .upset import NATURALS, UPSet, mask_elements, to_mask
@@ -193,10 +193,13 @@ def outline(d: Evidence) -> frozenset[int]:
 def content(d: Evidence) -> DataSet:
     """The evidence as a set: O(1), its masks alone, holding nothing of
     the examples or of the run they came from."""
-    if isinstance(d, DataSet):
-        return d
+    return d if isinstance(d, DataSet) else _set(d.masks)
+
+
+def _set(masks: tuple[int, int]) -> DataSet:
+    """The `DataSet` of these masks, unchecked: they come from evidence."""
     s = object.__new__(DataSet)
-    object.__setattr__(s, "masks", d.masks)
+    object.__setattr__(s, "masks", masks)
     return s
 
 
@@ -335,11 +338,13 @@ def buffer(informant, n: int) -> tuple[list[Example], EvidenceIndex]:
     ps, ns, i = index.positives, index.negatives, len(examples)
     if i < n and isinstance(informant, Informant):
         values = informant._values(i, n)
-        t, new = to_mask(informant.target, max(values) + 1), tuple.__new__
-        examples += [new(Example, (v, t >> v & 1)) for v in values]
-        bits = [1 << v for v in values]  # ps[i:] starts with ps[i] again
-        ps[i:] = accumulate(map(and_, bits, repeat(t)), or_, initial=ps[i])
-        ns[i:] = accumulate(map(and_, bits, repeat(~t)), or_, initial=ns[i])
+        t = to_mask(informant.target, max(values) + 1)
+        labels, bits = [t >> v & 1 for v in values], [1 << v for v in values]
+        examples += map(tuple.__new__, repeat(Example), zip(values, labels))
+        # one int per distinct mask: a step keeps the int of a mask it leaves
+        for masks, shown in (ps, labels), (ns, [b ^ 1 for b in labels]):
+            ms = list(accumulate(compress(bits, shown), or_, initial=masks[i]))
+            masks[i:] = map(ms.__getitem__, accumulate(shown, initial=0))
     for i in range(len(examples), n):
         ex = _as_example(informant.example_at(i))
         p, q = _shown((ps[i], ns[i]), ex)
@@ -383,9 +388,6 @@ def prefixes(informant: Informant, horizon: int) -> Iterator[DataSequence]:
 
 
 def contents(informant, horizon: int) -> Iterator[DataSet]:
-    """Yield `content(prefix(informant, n))`, n = 0..horizon, no view made."""
+    """`content(prefix(informant, n))` for n = 0..horizon, no view made."""
     index = buffer(informant, horizon)[1]
-    for masks in zip(index.positives[:horizon + 1], index.negatives):
-        s = object.__new__(DataSet)
-        object.__setattr__(s, "masks", masks)
-        yield s
+    return map(_set, zip(index.positives[:horizon + 1], index.negatives))

@@ -12,17 +12,17 @@ Iterative runs start from a designated empty-extension hypothesis, so the
 hypothesis stream is total from step 0 in every mode. Every mode reads the
 informant through its one buffer (`evidence.buffer`), so every mode refuses
 the same bad informants. A run hands a G learner `evidence.prefixes`, a
-Psd or Sd learner `evidence.contents`; every mode passes the context last.
+Psd or Sd learner `evidence.contents` (see `_handed`); the context is last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable
 
-from .evidence import (EvidenceIndex, Informant, buffer, content, contents,
-                       prefixes)
+from .evidence import (DataSet, EvidenceIndex, Informant, buffer, content,
+                       contents, prefixes)
 from .hypothesis import Hypothesis, hypothesis_for
 from .upset import EMPTY, NATURALS, UPSet
 
@@ -94,6 +94,12 @@ class HypSequence:
         return self.items[-1]
 
 
+def _handed(kind: str, sets: Iterable[DataSet], lengths: Iterable[int]):
+    """What a Psd or Sd learner is handed before the context, one tuple per
+    prefix: the prefix's content, and for a Psd learner its length too."""
+    return zip(sets, lengths) if kind == "Psd" else zip(sets)
+
+
 def run(
     learner: Learner,
     informant: Informant,
@@ -123,11 +129,10 @@ def run(
             items.append(fn(items[-1], ex, ctx))
     elif kind == "G":
         items = [fn(d, ctx) for d in prefixes(informant, horizon)]
-    elif kind == "Psd":
-        items = [fn(s, n, ctx)
-                 for n, s in enumerate(contents(informant, horizon))]
     else:
-        items = [fn(s, ctx) for s in contents(informant, horizon)]
+        handed = _handed(kind, contents(informant, horizon),
+                         range(horizon + 1))
+        items = [fn(*args, ctx) for args in handed]
     return HypSequence(tuple(items), learner.name, informant)
 
 
@@ -143,10 +148,9 @@ def as_full_information(learner: Learner) -> Learner:
                 h = learner.fn(h, ex, ctx)
             return h
 
-    elif learner.kind == "Psd":
-        fn = lambda d, ctx: learner.fn(content(d), len(d), ctx)
     else:
-        fn = lambda d, ctx: learner.fn(content(d), ctx)
+        fn = lambda d, ctx: learner.fn(
+            *next(_handed(learner.kind, [content(d)], [len(d)])), ctx)
     return Learner(f"{learner.name}[G]", "G", fn)
 
 

@@ -196,7 +196,7 @@ def to_mask(u: UPSet, width: int) -> int:
 def mask_elements(m: int) -> list[int]:
     """The set bits of m, increasing: the elements of `from_mask(m)`, read
     off its bit string in linear time, bit by bit if at least a quarter are
-    set, else by a search that steps in Python only per element."""
+    set (near where the two tie), else by a search, a step per element."""
     if m < 0:
         raise ValueError("naturals only")
     bits = format(m, "b")[::-1]

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -241,6 +244,30 @@ def test_the_bulk_buffer_is_the_presentation(order, text, seed, plan,
         assert list(zip(index.positives, index.negatives)) == [
             oracles.raw_masks(shown[:k]) for k in range(read + 1)]
     assert [inf.example_at(i) for i in range(read)] == shown
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_a_step_keeps_the_mask_it_leaves_as_it_is(order):
+    """A wide head value of each label makes both masks wide from the
+    second prefix on. Each step grows one of them and keeps the other as
+    the same int, so the index of n prefixes holds about n wide ints, not
+    2n, whether read at once or on in steps."""
+    w, n = 10**6, 40
+    wide = sys.getsizeof(1 << w + 1)
+    for steps in ([n], [1, 2, 25, n]):
+        inf = Informant(parse("|10"), (w, w + 1), order)  # w even, w + 1 odd
+        tracemalloc.start()
+        try:
+            for k in steps:
+                index = buffer(inf, k)[1]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        masks = {id(m): m for m in index.positives + index.negatives}
+        assert index.positives[1] == 1 << w and index.negatives[2] == 1 << w + 1
+        assert len(masks) <= n + 1
+        assert sum(map(sys.getsizeof, masks.values())) <= (n + 1) * wide
+        assert held <= (n + 4) * wide
 
 
 @settings(max_examples=100, deadline=None)
